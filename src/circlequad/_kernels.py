@@ -74,3 +74,26 @@ def blaschke_values(deltas, z):
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     rho, rho_star = szego_eval(deltas, z)
     return z * rho / rho_star
+
+
+def blaschke_phase_slope(deltas, z):
+    """F_n and d/dtheta arg F_n(e^{i theta}) at circle points ``z``.
+
+    The Szego recursion is carried together with its z-derivative, so
+    the slope psi' = Re(1 + z rho'/rho - z rho*'/rho*) needs neither the
+    zeros of rho_{n-1} nor its coefficients.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    rho = np.ones_like(z)
+    rho_star = np.ones_like(z)
+    drho = np.zeros_like(z)
+    drho_star = np.zeros_like(z)
+    for d in np.asarray(deltas, dtype=np.complex128):
+        dc = np.conj(d)
+        zr = z * rho
+        dzr = rho + z * drho
+        rho, rho_star = zr + d * rho_star, dc * zr + rho_star
+        drho, drho_star = dzr + d * drho_star, dc * dzr + drho_star
+    f = z * rho / rho_star
+    slope = (1.0 + z * (drho / rho - drho_star / rho_star)).real
+    return f, slope

@@ -17,10 +17,8 @@ class Tolerances:
     disk_boundary_band: float = 1e-12
     # |F_n(z) - target| for accepted Blaschke roots
     root_residual: float = 1e-11
-    # bisection stops when the theta bracket is this narrow
+    # Newton polish of circle roots stops once every theta step is this small
     bisect_theta: float = 1e-14
-    # allowed non-monotonicity in sampled unwrapped phase
-    phase_jitter: float = 1e-9
     # minimum theta gap between distinct roots
     root_gap: float = 1e-10
     # orthogonality residuals, relative to E_0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import blaschke_values, szego_eval
+from ._kernels import blaschke_phase_slope, blaschke_values
 from .config import TOL
 from .errors import (
     BoundaryDegenerateError,
@@ -27,6 +27,16 @@ from .errors import (
 from .poly import ComplexPoly
 
 TWO_PI = 2.0 * math.pi
+
+
+def wrap_theta(theta):
+    """theta reduced to [0, 2 pi).
+
+    ``x % TWO_PI`` rounds up to exactly 2 pi for tiny negative x; that
+    case is the angle 0.
+    """
+    theta = np.mod(theta, TWO_PI)
+    return np.where(theta < TWO_PI, theta, 0.0)
 
 
 @dataclass(frozen=True)
@@ -44,7 +54,7 @@ class UnitPoint:
 
     @staticmethod
     def from_theta(theta: float) -> "UnitPoint":
-        theta = theta % TWO_PI
+        theta = float(wrap_theta(theta))
         return UnitPoint(theta, cmath.exp(1j * theta))
 
     @staticmethod
@@ -52,7 +62,7 @@ class UnitPoint:
         if abs(abs(z) - 1.0) > tol:
             raise DomainError(f"|z| = {abs(z)} is off the unit circle")
         z = z / abs(z)
-        return UnitPoint(cmath.phase(z) % TWO_PI, z)
+        return UnitPoint(float(wrap_theta(cmath.phase(z))), z)
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ class SchurSequence:
             raise InvalidParameterError("all delta_k (k >= 1) must lie in the open unit disk")
         if len(e) != len(d) or np.any(e <= 0):
             raise InvalidParameterError("norms must be positive and match delta in length")
-        object.__setattr__(self, "_rho_cache", [np.array([1.0 + 0.0j])])
+        object.__setattr__(self, "_rho_cache", {0: np.array([1.0 + 0.0j])})
 
     @property
     def order(self) -> int:
@@ -116,18 +126,20 @@ class SchurSequence:
         return self.delta[1 : n + 1]
 
     def rho_coeffs(self, k: int) -> np.ndarray:
-        """Coefficients of the monic recursion polynomial of degree k
-        (cached; the recursion is extended on demand)."""
+        """Coefficients of the monic recursion polynomial of degree k.
+
+        Only the degrees asked for are cached, not every rho_0..rho_k; a
+        new degree is recursed from the highest cached one below it.
+        """
         if k > self.order:
             raise InvalidParameterError(f"order {k} beyond available {self.order}")
         cache = self._rho_cache
-        while len(cache) <= k:
-            j = len(cache)
-            d = self.delta[j]
-            rho = cache[-1]
-            zr = np.concatenate([[0.0], rho])
-            rs = np.conj(rho[::-1])  # reciprocal of the previous monic rho
-            cache.append(zr + d * np.concatenate([rs, [0.0]])[: len(zr)])
+        if k not in cache:
+            j = max(i for i in cache if i < k)
+            rho = cache[j]
+            for d in self.delta[j + 1 : k + 1]:
+                rho = _szego_step(rho, d)
+            cache[k] = rho
         return cache[k]
 
     @staticmethod
@@ -139,9 +151,21 @@ class SchurSequence:
         return SchurSequence(np.concatenate([[1.0], params]), norms)
 
 
+def _szego_step(rho: np.ndarray, d: complex) -> np.ndarray:
+    """Coefficients of z rho + d rho* for a monic rho."""
+    zr = np.concatenate([[0.0], rho])
+    rs = np.concatenate([np.conj(rho[::-1]), [0.0]])
+    return zr + d * rs
+
+
 def szego_from_schur(deltas: SchurSequence, n: int) -> list[ComplexPoly]:
     """Monic rho_0..rho_n from the Szego recursion."""
-    return [ComplexPoly(deltas.rho_coeffs(k)) for k in range(n + 1)]
+    rho = np.array([1.0 + 0.0j])
+    polys = [ComplexPoly(rho)]
+    for d in deltas.params(n):
+        rho = _szego_step(rho, d)
+        polys.append(ComplexPoly(rho))
+    return polys
 
 
 def inner_product(p: ComplexPoly, q: ComplexPoly, mu: MomentSequence) -> complex:
@@ -202,114 +226,66 @@ def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
     return complex(blaschke_values(deltas.params(n - 1), np.array([z]))[0])
 
 
-def _phase_derivative(w, z):
-    """d/dtheta of arg F_n(e^{i theta}): 1 plus the Poisson kernels of
-    the chain zeros."""
-    if len(w) == 0:
-        return np.ones(np.shape(z), dtype=float)
-    num = 1.0 - np.abs(w) ** 2
-    den = np.abs(z[..., None] - w[None, :]) ** 2
-    return 1.0 + np.sum(num[None, :] / den, axis=-1)
+def _cmv_eigvals(alpha: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the n x n truncated CMV matrix L M of the
+    Verblunsky coefficients alpha_0..alpha_{n-1}, |alpha_{n-1}| = 1.
 
-
-def _phase_grid(params, n, w):
-    """Circle angles dense enough that the phase of F_n moves by less
-    than pi/2 between neighbors.
-
-    On the circle F_n factors as z times the Blaschke factors of the
-    zeros w_j of rho_{n-1}; each factor's phase is monotone with total
-    increase 2 pi, so placing the preimages of 8n equally spaced factor
-    phases (available in closed form from the Moebius inverse) bounds
-    every factor's variation per gap by 2 pi / (8n), hence the total by
-    roughly pi/4. The zeros are obtained from the companion matrix, but
-    only to steer sampling — root acceptance still rests on bisection
-    plus residual checks.
+    L stacks the 2x2 blocks Theta_k = [[conj a_k, r_k], [r_k, -a_k]],
+    r_k = sqrt(1 - |a_k|^2), for even k and M those for odd k after a
+    leading 1. With r_{n-1} = 0 the last block decouples, so both
+    factors are built one size larger and cut back to n x n.
     """
-    k = 16 * n
-    pieces = [np.arange(k) * (TWO_PI / k)]
-    u = np.exp(1j * np.arange(8 * n) * (TWO_PI / (8 * n)))
-    for wj in w:
-        if abs(wj) < 0.5:
-            continue  # flat factor; the uniform grid suffices
-        z = (wj + u) / (1.0 + u * np.conj(wj))
-        pieces.append(np.angle(z) % TWO_PI)
-    return np.unique(np.concatenate(pieces))
+    n = len(alpha)
+    r = np.append(np.sqrt(1.0 - np.abs(alpha[:-1]) ** 2), 0.0)
+    factors = []
+    for first in (0, 1):
+        b = np.zeros((n + 1, n + 1), dtype=complex)
+        b[0, 0] = 1.0
+        k = np.arange(first, n, 2)
+        b[k, k] = np.conj(alpha[k])
+        b[k, k + 1] = r[k]
+        b[k + 1, k] = r[k]
+        b[k + 1, k + 1] = -alpha[k]
+        factors.append(b[:n, :n])
+    return np.linalg.eigvals(factors[0] @ factors[1])
 
 
 def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> list[UnitPoint]:
     """All n solutions of F_n(z) = target on the unit circle.
 
-    The unwrapped phase of F_n along the circle increases monotonically
-    by 2 pi n, so every solution is bracketed by a sampled crossing and
-    then pinned down by bisection.
+    The solutions are the zeros of the paraorthogonal polynomial
+    z rho_{n-1} - target rho*_{n-1}, hence the eigenvalues of the
+    unitary truncated CMV matrix with alpha_k = -conj(delta_{k+1}) and
+    alpha_{n-1} = conj(target) (Cantero-Moral-Velazquez). Newton steps
+    on arg(F_n conj(target)) then polish each angle, each step clamped
+    to half the gap to the neighboring root. Every root is accepted
+    only after a residual check scaled by the phase slope, and the set
+    only when no two roots nearly coincide.
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
     params = np.asarray(deltas.params(n - 1), dtype=complex)
+    alpha = np.concatenate([-np.conj(params), [np.conj(target) / abs(target)]])
+    theta = np.sort(wrap_theta(np.angle(_cmv_eigvals(alpha))))
 
-    rho_top = deltas.rho_coeffs(n - 1)
-    w = np.roots(rho_top[::-1]) if n > 1 else np.array([], dtype=complex)
-    if len(w) and np.max(np.abs(w)) >= 1.0:
-        # the recursion guarantees zeros strictly inside the disk; a
-        # violation here means the companion diagnostic lost accuracy
-        if np.max(np.abs(w)) > 1.0 + 1e-8:
-            raise InternalConsistencyError("chain zeros escaped the unit disk")
-        w = w / np.maximum(1.0, np.abs(w) + 1e-15)
-    thetas = _phase_grid(params, n, w)
-    raw = np.angle(blaschke_values(params, np.exp(1j * thetas)))
-    psi = np.unwrap(raw)
-    steps = np.diff(psi)
-    closing = (psi[0] + TWO_PI * n) - psi[-1]
-    if np.max(steps) > 0.9 * math.pi or not (
-        -TOL.phase_jitter < closing < 0.9 * math.pi
-    ):
-        raise InternalConsistencyError(
-            "sampled phase steps are too coarse; grid construction failed"
-        )
-    if np.min(steps) < -TOL.phase_jitter:
-        raise InternalConsistencyError("sampled Blaschke phase is not monotone")
-
-    thetas_ext = np.concatenate([thetas, [thetas[0] + TWO_PI]])
-    psi_ext = np.concatenate([psi, [psi[0] + TWO_PI * n]])
-
-    t_ang = cmath.phase(target)
-    k0 = math.ceil((psi_ext[0] - t_ang) / TWO_PI - 1e-13)
-    levels = t_ang + TWO_PI * (k0 + np.arange(n))
-    idx = np.searchsorted(psi_ext, levels, side="left") - 1
-    idx = np.clip(idx, 0, len(thetas_ext) - 2)
-    lo = thetas_ext[idx]
-    hi = thetas_ext[idx + 1]
     conj_t = np.conj(target)
-
-    # coarse bisection to a safe neighborhood, then Newton steps using
-    # the exact phase derivative (quadratic convergence, clamped to the
-    # bracket so the root cannot escape)
-    for _ in range(12):
-        if np.max(hi - lo) <= TOL.bisect_theta:
-            break
-        mid = 0.5 * (lo + hi)
-        r = np.angle(blaschke_values(params, np.exp(1j * mid)) * conj_t)
-        above = r > 0
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    theta = 0.5 * (lo + hi)
-    for _ in range(40):
-        z = np.exp(1j * theta)
-        g = np.angle(blaschke_values(params, z) * conj_t)
-        step = g / _phase_derivative(w, z)
-        theta = np.clip(theta - step, lo, hi)
+    for _ in range(8):
+        f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
+        step = np.angle(f * conj_t) / slope
+        gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
+        step = np.clip(step, -0.5 * gaps, 0.5 * np.roll(gaps, 1))
+        theta = theta - step
         if np.max(np.abs(step)) < TOL.bisect_theta:
             break
 
-    roots_theta = np.sort(theta % TWO_PI)
+    roots_theta = np.sort(wrap_theta(theta))
     z = np.exp(1j * roots_theta)
-    resid = np.abs(blaschke_values(params, z) - target)
-    # |F - target| scales with the local phase derivative, which peaks
-    # when chain zeros sit very close to the circle; the per-root
-    # tolerance reflects a theta accuracy of a few bisection brackets
-    limit = np.maximum(
-        TOL.root_residual, 50.0 * TOL.bisect_theta * _phase_derivative(w, z)
-    )
+    f, slope = blaschke_phase_slope(params, z)
+    resid = np.abs(f - target)
+    # |F - target| scales with the local phase slope, which peaks when
+    # chain zeros sit very close to the circle; the per-root tolerance
+    # reflects a theta accuracy of a few Newton stops
+    limit = np.maximum(TOL.root_residual, 50.0 * TOL.bisect_theta * slope)
     if np.any(resid >= limit):
         worst = int(np.argmax(resid / limit))
         raise InternalConsistencyError(

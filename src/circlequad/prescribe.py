@@ -428,9 +428,7 @@ def classical_arc(
     if not in_open_arc(-tau_hat, tau_a, tau_b):
         return PrescriptionResult(None, False, diagnostics)
     interior = blaschke_solve(hat_deltas, m, -tau_hat)
-    from .opuc import szego_from_schur  # local import to avoid cycle noise
-
-    rho = szego_from_schur(hat_deltas, m - 1)[m - 1]
+    rho = ComplexPoly(hat_deltas.rho_coeffs(m - 1))
     p_inner = rho.shift(1) + tau_hat * rho.reciprocal(m - 1)
     nodal = from_zeros([arc.a.z, arc.b.z]) * p_inner
     nodes = [arc.a, arc.b] + interior

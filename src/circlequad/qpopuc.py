@@ -163,8 +163,11 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
 def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> list[UnitPoint]:
     """All n zeros of Q on the unit circle via the modified chain.
 
-    With Q = z rho~_{n-1} + tau rho~*_{n-1}, the zeros are exactly the
-    solutions of the Blaschke equation F~_n(z) = -tau.
+    With Q = z rho~_{n-1} + tau rho~*_{n-1}, Q is paraorthogonal for the
+    modified chain, and its zeros are the solutions of the Blaschke
+    equation F~_n(z) = -tau: ``blaschke_solve`` takes them as CMV
+    eigenvalues and certifies each one. The nodal residual |Q(z)| is
+    then checked against the directly assembled Q.
     """
     modified = modified_schur(spec, deltas)
     pts = blaschke_solve(modified, spec.n, -spec.tau)

@@ -16,15 +16,17 @@ from circlequad import (
     schur_from_moments,
     szego_from_schur,
 )
+from circlequad import opuc
 from circlequad.errors import (
     BoundaryDegenerateError,
     DomainError,
+    InternalConsistencyError,
     InvalidParameterError,
     MomentRangeError,
     NotPositiveDefiniteError,
 )
 from circlequad.measures import MeasureSpec, moments
-from circlequad.opuc import TWO_PI, random_unit_points
+from circlequad.opuc import TWO_PI, random_unit_points, wrap_theta
 
 from conftest import chain
 
@@ -48,6 +50,14 @@ class TestUnitPoint:
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(Exception):
             UnitPoint(0.0, 1.0j)
+
+    def test_tiny_negative_angle_wraps_to_zero(self):
+        # -1e-17 % (2 pi) rounds up to exactly 2 pi
+        assert UnitPoint.from_theta(-1e-17).theta == 0.0
+        assert UnitPoint.from_complex(complex(1.0, -1e-17)).theta == 0.0
+        assert wrap_theta(np.array([-1e-17, TWO_PI, -0.5])).tolist() == [
+            0.0, 0.0, TWO_PI - 0.5
+        ]
 
 
 class TestMomentSequence:
@@ -88,6 +98,11 @@ class TestSchurSequence:
             rho_star = rho.reciprocal(k - 1)
             rho = rho.shift(1) + complex(d[k - 1]) * rho_star
             assert np.allclose(s.rho_coeffs(k), rho.coeffs)
+        # degrees asked out of order recurse from the nearest cached one
+        fresh = SchurSequence.from_params(d)
+        polys = szego_from_schur(s, 5)
+        for k in (4, 2, 5, 3):
+            assert np.allclose(fresh.rho_coeffs(k), polys[k].coeffs)
 
 
 class TestSchurFromMoments:
@@ -151,6 +166,50 @@ class TestBlaschke:
             assert thetas == sorted(thetas)
             for p in pts:
                 assert abs(blaschke_eval(s, n, p.z) - target) < 1e-8
+
+    @pytest.mark.parametrize("angle", [0.0, 0.4, -2.0])
+    def test_solve_lebesgue_closed_form_large_n(self, angle):
+        # F_n(z) = z**n, so the roots are the n-th roots of the target;
+        # angle 0 puts a root at theta = 0, which must not come back as 2 pi
+        n = 256
+        s = SchurSequence.from_params(np.zeros(n - 1))
+        pts = blaschke_solve(s, n, cmath.exp(1j * angle))
+        thetas = np.array([p.theta for p in pts])
+        expected = np.sort(wrap_theta((angle + TWO_PI * np.arange(n)) / n))
+        assert np.all((thetas >= 0.0) & (thetas < TWO_PI))
+        assert np.max(np.abs(thetas - expected)) < 1e-12
+
+    def test_solve_matches_companion_roots(self, rng):
+        # oracle: zeros of the paraorthogonal z rho_{n-1} - t rho*_{n-1}
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            d = 0.95 * rng.uniform(0.0, 1.0, size=n - 1) * np.exp(
+                1j * rng.uniform(0, TWO_PI, size=n - 1)
+            )
+            s = SchurSequence.from_params(d)
+            target = cmath.exp(1j * rng.uniform(0, TWO_PI))
+            rho = ComplexPoly(s.rho_coeffs(n - 1))
+            q = rho.shift(1) - target * rho.reciprocal(n - 1)
+            roots = np.roots(q.coeffs[::-1])
+            expected = np.sort(wrap_theta(np.angle(roots)))
+            thetas = np.array([p.theta for p in blaschke_solve(s, n, target)])
+            # wrap-aware distance, for a root within rounding of theta = 0
+            diff = np.angle(np.exp(1j * (thetas - expected)))
+            assert np.max(np.abs(diff)) < 1e-10
+
+    def test_certificate_catches_bad_eigenvalue(self, monkeypatch):
+        s = SchurSequence.from_params(0.5 * np.exp(1j * np.arange(1, 12)))
+        blaschke_solve(s, 12, 1j)  # the unperturbed solve is accepted
+        true_eigvals = opuc._cmv_eigvals
+
+        def perturbed(alpha):
+            ev = true_eigvals(alpha)
+            ev[0] = ev[1]  # one root lost, its neighbor found twice
+            return ev
+
+        monkeypatch.setattr(opuc, "_cmv_eigvals", perturbed)
+        with pytest.raises(InternalConsistencyError):
+            blaschke_solve(s, 12, 1j)
 
     def test_solve_rejects_off_circle_target(self):
         s = SchurSequence.from_params([0.2])

@@ -10,9 +10,12 @@ from circlequad import (
     MomentSequence,
     QpopucSpec,
     UnitPoint,
+    assemble,
     build_rule,
     from_zeros,
     moments,
+    radau,
+    radau_arc_admissible,
     scan_tau,
     verify_exactness,
     weights,
@@ -33,7 +36,7 @@ from circlequad.quadrature import (
     save_rule,
     save_rule_csv,
 )
-from circlequad.opuc import TWO_PI
+from circlequad.opuc import TWO_PI, wrap_theta
 
 from conftest import chain, random_tau, unit
 
@@ -81,6 +84,41 @@ class TestBuildRule:
             assert abs(np.sum(rule.weights) - 1.0) < 1e-10
             built += 1
         assert built > 0
+
+
+class TestEigenNodes:
+    """Node solves beyond the small orders of the acceptance tables."""
+
+    @pytest.mark.parametrize("radau_theta", [None, 1.3])
+    def test_rogers_szego_n256(self, rogers_half, radau_theta):
+        n = 256
+        mu, deltas = chain(rogers_half, n, 0)
+        if radau_theta is None:
+            spec = QpopucSpec(n, 0, ONE, cmath.exp(0.9j))
+        else:
+            spec = radau(deltas, n, unit(radau_theta)).spec
+        rule = build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+        assert len(rule.nodes) == n and np.min(rule.weights) > 0
+        assert verify_exactness(rule, mu)["passes"]
+        if radau_theta is not None:
+            z = cmath.exp(1j * radau_theta)
+            assert min(abs(p.z - z) for p in rule.nodes) < 1e-12
+
+    @pytest.mark.parametrize("radau_theta", [0.5, 1.45, 2.2])
+    def test_arc_lebesgue_matches_companion_roots(self, radau_theta):
+        # a Radau-admissible node keeps every node inside the arc; a node
+        # outside the support carries a weight below the positivity floor
+        measure = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
+        n = 12
+        mu, deltas = chain(measure, n, 0)
+        spec = radau(deltas, n, unit(radau_theta)).spec
+        assert radau_arc_admissible(deltas, n, spec.tau, measure.support_arc)
+        rule = build_rule(measure, spec, mu=mu, deltas=deltas)
+        assert verify_exactness(rule, mu)["passes"]
+        roots = np.roots(assemble(spec, deltas).coeffs[::-1])
+        expected = np.sort(wrap_theta(np.angle(roots)))
+        thetas = np.array([p.theta for p in rule.nodes])
+        assert np.max(np.abs(np.angle(np.exp(1j * (thetas - expected))))) < 1e-9
 
 
 class TestVerifyExactness:
