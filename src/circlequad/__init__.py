@@ -23,8 +23,10 @@ from .prescribe import (
     prescribe_2l,
     prescribe_2lp1,
     radau,
+    TauPencil,
     radau_arc_admissible,
     tau_for_omega,
+    tau_pencil,
     three_nodes,
 )
 from .qpopuc import (
@@ -82,6 +84,8 @@ __all__ = [
     "prescribe_2lp1",
     "classical_arc",
     "tau_for_omega",
+    "TauPencil",
+    "tau_pencil",
     "QuadRule",
     "TauScan",
     "weights",

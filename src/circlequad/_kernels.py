@@ -12,20 +12,30 @@ import numpy as np
 
 
 def szego_eval_numpy(deltas, z):
-    """Evaluate (rho_k, rho_k*) at points ``z`` for k = len(deltas).
+    """Evaluate (rho_k, rho_k*) at points ``z`` for k = deltas.shape[-1].
 
-    ``deltas`` holds delta_1..delta_k; the recursion starts from
-    rho_0 = rho_0* = 1 and applies rho_j = z rho_{j-1} + delta_j rho*_{j-1},
+    ``deltas`` holds delta_1..delta_k, optionally behind leading batch
+    axes; ``z`` broadcasts against them as (..., points). The recursion
+    starts from rho_0 = rho_0* = 1 and applies
+    rho_j = z rho_{j-1} + delta_j rho*_{j-1},
     rho*_j = conj(delta_j) z rho_{j-1} + rho*_{j-1}.
     """
     z = np.asarray(z, dtype=np.complex128)
-    rho = np.ones_like(z)
-    rho_star = np.ones_like(z)
-    for d in deltas:
+    deltas = np.asarray(deltas, dtype=np.complex128)
+    shape = np.broadcast_shapes(deltas.shape[:-1] + (1,), z.shape)
+    rho = np.ones(shape, dtype=np.complex128)
+    rho_star = np.ones(shape, dtype=np.complex128)
+    for d in _steps(deltas):
         zr = z * rho
         rho = zr + d * rho_star
         rho_star = np.conj(d) * zr + rho_star
     return rho, rho_star
+
+
+def _steps(deltas):
+    """delta_j for j = 1..k, shaped to broadcast against (..., points):
+    scalars for one chain, (..., 1) columns for a batch."""
+    return deltas if deltas.ndim == 1 else np.moveaxis(deltas, -1, 0)[..., None]
 
 
 _use_numba = os.environ.get("CIRCLEQUAD_NUMBA", "1") != "0"
@@ -53,8 +63,10 @@ if _use_numba:
         return rho, rho_star
 
     def szego_eval(deltas, z):
-        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
         deltas = np.ascontiguousarray(np.asarray(deltas, dtype=np.complex128))
+        if deltas.ndim > 1:  # the jit kernel takes one chain
+            return szego_eval_numpy(deltas, z)
+        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
         return _szego_eval_numba(deltas, z)
 
 else:
@@ -70,7 +82,8 @@ def using_numba() -> bool:
 
 
 def blaschke_values(deltas, z):
-    """F_n at array points: z * rho_{n-1}(z) / rho*_{n-1}(z), n = len(deltas)+1."""
+    """F_n at array points: z * rho_{n-1}(z) / rho*_{n-1}(z), with
+    n - 1 = deltas.shape[-1]; batch axes broadcast as in ``szego_eval``."""
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     rho, rho_star = szego_eval(deltas, z)
     return z * rho / rho_star
@@ -81,14 +94,17 @@ def blaschke_phase_slope(deltas, z):
 
     The Szego recursion is carried together with its z-derivative, so
     the slope psi' = Re(1 + z rho'/rho - z rho*'/rho*) needs neither the
-    zeros of rho_{n-1} nor its coefficients.
+    zeros of rho_{n-1} nor its coefficients. Batch axes broadcast as in
+    ``szego_eval``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    rho = np.ones_like(z)
-    rho_star = np.ones_like(z)
-    drho = np.zeros_like(z)
-    drho_star = np.zeros_like(z)
-    for d in np.asarray(deltas, dtype=np.complex128):
+    deltas = np.asarray(deltas, dtype=np.complex128)
+    shape = np.broadcast_shapes(deltas.shape[:-1] + (1,), z.shape)
+    rho = np.ones(shape, dtype=np.complex128)
+    rho_star = np.ones(shape, dtype=np.complex128)
+    drho = np.zeros(shape, dtype=np.complex128)
+    drho_star = np.zeros(shape, dtype=np.complex128)
+    for d in _steps(deltas):
         dc = np.conj(d)
         zr = z * rho
         dzr = rho + z * drho

@@ -27,6 +27,17 @@ class Tolerances:
     representation: float = 1e-10
     # moment-matching residual for weights, relative to mu_0
     weight_residual: float = 1e-9
+    # |sum of weights - mu_0|, relative to mu_0
+    weight_sum: float = 1e-10
+    # coupled prescription solve: |conj block - conj(p)|, relative to 1 + max|p|
+    coupling: float = 1e-10
+    # direct vs. elimination prescription solves, relative to 1 + max|p|
+    solve_agreement: float = 1e-8
+    # scanner diagnostic for inadmissible P: companion roots of Q count as
+    # circle nodes within this band of |z| = 1 ...
+    scan_on_circle: float = 1e-6
+    # ... and as simple nodes when no two are closer than this
+    scan_root_gap: float = 1e-8
     # nodal residual |Q(alpha_i)|, relative to max coefficient
     node_residual: float = 1e-9
     # 1-norm condition number above which linear systems are refused

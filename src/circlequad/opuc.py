@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -228,26 +229,86 @@ def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
 
 def _cmv_eigvals(alpha: np.ndarray) -> np.ndarray:
     """Eigenvalues of the n x n truncated CMV matrix L M of the
-    Verblunsky coefficients alpha_0..alpha_{n-1}, |alpha_{n-1}| = 1.
+    Verblunsky coefficients alpha_0..alpha_{n-1}, |alpha_{n-1}| = 1,
+    along the last axis of ``alpha`` (leading axes are a batch).
 
     L stacks the 2x2 blocks Theta_k = [[conj a_k, r_k], [r_k, -a_k]],
     r_k = sqrt(1 - |a_k|^2), for even k and M those for odd k after a
     leading 1. With r_{n-1} = 0 the last block decouples, so both
     factors are built one size larger and cut back to n x n.
     """
-    n = len(alpha)
-    r = np.append(np.sqrt(1.0 - np.abs(alpha[:-1]) ** 2), 0.0)
+    batch, n = alpha.shape[:-1], alpha.shape[-1]
+    r = np.concatenate(
+        [np.sqrt(1.0 - np.abs(alpha[..., :-1]) ** 2), np.zeros(batch + (1,))], axis=-1
+    )
     factors = []
     for first in (0, 1):
-        b = np.zeros((n + 1, n + 1), dtype=complex)
-        b[0, 0] = 1.0
+        b = np.zeros(batch + (n + 1, n + 1), dtype=complex)
+        b[..., 0, 0] = 1.0
         k = np.arange(first, n, 2)
-        b[k, k] = np.conj(alpha[k])
-        b[k, k + 1] = r[k]
-        b[k + 1, k] = r[k]
-        b[k + 1, k + 1] = -alpha[k]
-        factors.append(b[:n, :n])
+        b[..., k, k] = np.conj(alpha[..., k])
+        b[..., k, k + 1] = r[..., k]
+        b[..., k + 1, k] = r[..., k]
+        b[..., k + 1, k + 1] = -alpha[..., k]
+        factors.append(b[..., :n, :n])
     return np.linalg.eigvals(factors[0] @ factors[1])
+
+
+class CircleRoots(NamedTuple):
+    """The n solutions of F_n(z) = target per chain, with their certificates."""
+
+    theta: np.ndarray  # (..., n), ascending in [0, 2 pi)
+    resid_ratio: np.ndarray  # (...) worst |F_n - target| over its per-root limit
+    resid_ok: np.ndarray  # (...) every root within its residual limit
+    gap_ok: np.ndarray  # (...) no two roots closer than TOL.root_gap
+
+
+def circle_roots(params, target) -> CircleRoots:
+    """Batch kernel of ``blaschke_solve``: ``params`` is delta_1..delta_{n-1}
+    along the last axis and ``target`` one unimodular value per chain.
+
+    The nodes are the CMV eigenvalues, polished by Newton steps on
+    arg(F_n conj(target)); a chain stops stepping once all its steps are
+    below TOL.bisect_theta, so each row gets the steps it would get alone.
+    """
+    params = np.asarray(params, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    alpha = np.concatenate(
+        [-np.conj(params), (np.conj(target) / np.abs(target))[..., None]], axis=-1
+    )
+    theta = np.sort(wrap_theta(np.angle(_cmv_eigvals(alpha))), axis=-1)
+    batch, n = theta.shape[:-1], theta.shape[-1]
+    rows = int(np.prod(batch))
+    theta = theta.reshape(rows, n)
+    params = params.reshape(rows, n - 1)
+    target = target.reshape(rows, 1)
+
+    active = np.arange(rows)
+    for _ in range(8):
+        th = theta[active]
+        f, slope = blaschke_phase_slope(params[active], np.exp(1j * th))
+        step = np.angle(f * np.conj(target[active])) / slope
+        gaps = np.diff(np.concatenate([th, th[:, :1] + TWO_PI], axis=1), axis=1)
+        step = np.clip(step, -0.5 * gaps, 0.5 * np.roll(gaps, 1, axis=1))
+        theta[active] = th - step
+        active = active[~(np.max(np.abs(step), axis=1) < TOL.bisect_theta)]
+        if not len(active):
+            break
+
+    theta = np.sort(wrap_theta(theta), axis=1)
+    f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
+    resid = np.abs(f - target)
+    # |F - target| scales with the local phase slope, which peaks when
+    # chain zeros sit very close to the circle; the per-root tolerance
+    # reflects a theta accuracy of a few Newton stops
+    limit = np.maximum(TOL.root_residual, 50.0 * TOL.bisect_theta * slope)
+    gaps = np.diff(np.concatenate([theta, theta[:, :1] + TWO_PI], axis=1), axis=1)
+    return CircleRoots(
+        theta.reshape(batch + (n,)),
+        np.max(resid / limit, axis=1).reshape(batch),
+        np.all(resid < limit, axis=1).reshape(batch),
+        (np.min(gaps, axis=1) > TOL.root_gap).reshape(batch),
+    )
 
 
 def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> list[UnitPoint]:
@@ -260,42 +321,19 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> list[UnitP
     on arg(F_n conj(target)) then polish each angle, each step clamped
     to half the gap to the neighboring root. Every root is accepted
     only after a residual check scaled by the phase slope, and the set
-    only when no two roots nearly coincide.
+    only when no two roots nearly coincide (``circle_roots``).
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
-    params = np.asarray(deltas.params(n - 1), dtype=complex)
-    alpha = np.concatenate([-np.conj(params), [np.conj(target) / abs(target)]])
-    theta = np.sort(wrap_theta(np.angle(_cmv_eigvals(alpha))))
-
-    conj_t = np.conj(target)
-    for _ in range(8):
-        f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
-        step = np.angle(f * conj_t) / slope
-        gaps = np.diff(np.concatenate([theta, [theta[0] + TWO_PI]]))
-        step = np.clip(step, -0.5 * gaps, 0.5 * np.roll(gaps, 1))
-        theta = theta - step
-        if np.max(np.abs(step)) < TOL.bisect_theta:
-            break
-
-    roots_theta = np.sort(wrap_theta(theta))
-    z = np.exp(1j * roots_theta)
-    f, slope = blaschke_phase_slope(params, z)
-    resid = np.abs(f - target)
-    # |F - target| scales with the local phase slope, which peaks when
-    # chain zeros sit very close to the circle; the per-root tolerance
-    # reflects a theta accuracy of a few Newton stops
-    limit = np.maximum(TOL.root_residual, 50.0 * TOL.bisect_theta * slope)
-    if np.any(resid >= limit):
-        worst = int(np.argmax(resid / limit))
+    roots = circle_roots(deltas.params(n - 1), target)
+    if not roots.resid_ok:
         raise InternalConsistencyError(
-            f"Blaschke root residual {resid[worst]:.3e} exceeds "
-            f"{limit[worst]:.3e}"
+            f"Blaschke root residual at {roots.resid_ratio:.3e} times its limit"
         )
-    gaps = np.diff(np.concatenate([roots_theta, [roots_theta[0] + TWO_PI]]))
-    if np.min(gaps) <= TOL.root_gap:
+    if not roots.gap_ok:
         raise InternalConsistencyError("near-duplicate Blaschke roots detected")
-    return [UnitPoint(float(t), complex(w)) for t, w in zip(roots_theta, z)]
+    z = np.exp(1j * roots.theta)
+    return [UnitPoint(float(t), complex(w)) for t, w in zip(roots.theta, z)]
 
 
 @dataclass
@@ -303,11 +341,34 @@ class SchurCohnResult:
     stable: bool
     params: list  # s_k(0) = kappa_k for k = ell..1 (downward order)
     kappas: dict = field(default_factory=dict)  # k -> P_k(0)
-    polys: dict = field(default_factory=dict)  # k -> monic P_k
 
     @property
     def worst(self) -> float:
         return max((abs(s) for s in self.params), default=0.0)
+
+
+def schur_cohn_rows(coeffs):
+    """Batch kernel of ``schur_cohn`` on monic polynomials, (batch, ell + 1)
+    low-to-high.
+
+    Returns (kappas, stable, band): kappas (batch, ell) holds s_k(0) for
+    k = ell..1; a row is stable when every |s_k(0)| < 1, and in the band
+    when some |s_k(0)| lies within TOL.disk_boundary_band of 1 (its later
+    kappas are then meaningless).
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    ell = coeffs.shape[1] - 1
+    kappas = np.empty((len(coeffs), ell), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(ell):
+            kappa = coeffs[:, :1]  # P_k(0); P_k*(0) = conj(leading) ~ 1
+            kappas[:, i] = kappa[:, 0]
+            star = np.conj(coeffs[:, ::-1])
+            coeffs = (coeffs - kappa * star)[:, 1:] / (1.0 - np.abs(kappa) ** 2)
+        mod = np.abs(kappas)
+        band = np.any(np.abs(mod - 1.0) <= TOL.disk_boundary_band, axis=1)
+        stable = np.all(mod < 1.0, axis=1)
+    return kappas, stable, band
 
 
 def schur_cohn(p: ComplexPoly) -> SchurCohnResult:
@@ -322,25 +383,20 @@ def schur_cohn(p: ComplexPoly) -> SchurCohnResult:
         # allow tiny drift from arithmetic, refuse anything larger
         if abs(p.coeffs[-1] - 1.0) > 1e-12:
             raise InvalidParameterError("Schur-Cohn input must be monic")
-    ell = p.degree
-    result = SchurCohnResult(stable=True, params=[])
-    coeffs = p.coeffs.copy()
-    for k in range(ell, 0, -1):
-        kappa = complex(coeffs[0])  # P_k(0); P_k*(0) = conj(leading) ~ 1
-        result.params.append(kappa)
-        result.kappas[k] = kappa
-        result.polys[k] = ComplexPoly(coeffs)
-        band = TOL.disk_boundary_band
-        if abs(abs(kappa) - 1.0) <= band:
-            raise BoundaryDegenerateError(
-                f"|s_{k}(0)| = {abs(kappa)} within {band} of the unit circle"
-            )
-        if abs(kappa) > 1.0:
-            result.stable = False
-        denom = 1.0 - abs(kappa) ** 2
-        star = np.conj(coeffs[::-1])
-        coeffs = (coeffs - kappa * star)[1:] / denom
-    return result
+    kappas, stable, band = schur_cohn_rows(p.coeffs[None])
+    kappas = kappas[0]
+    if band[0]:
+        i = int(np.nanargmin(np.abs(np.abs(kappas) - 1.0)))
+        raise BoundaryDegenerateError(
+            f"|s_{p.degree - i}(0)| = {abs(kappas[i])} within "
+            f"{TOL.disk_boundary_band} of the unit circle"
+        )
+    params = [complex(k) for k in kappas]
+    return SchurCohnResult(
+        stable=bool(stable[0]),
+        params=params,
+        kappas={p.degree - i: k for i, k in enumerate(params)},
+    )
 
 
 def random_unit_points(rng, count: int) -> list[UnitPoint]:

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import DegreeError
 
-_TRIM = 0.0  # exact trimming only; near-zero leading coefficients are kept
-
 
 class ComplexPoly:
     __slots__ = ("coeffs",)
@@ -94,6 +92,29 @@ class ComplexPoly:
 
 
 ONE = ComplexPoly([1.0])
+
+
+def horner(coeffs, z):
+    """Values of a batch of polynomials: ``coeffs`` is (batch, d + 1),
+    low-to-high, and ``z`` is (batch, points) or (points,) shared by
+    every row; returns (batch, points)."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    out = np.broadcast_to(coeffs[:, -1:], np.broadcast_shapes((len(coeffs), 1), z.shape))
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        out = out * z + coeffs[:, j : j + 1]
+    return out
+
+
+def companion_roots(coeffs) -> np.ndarray:
+    """Zeros of a batch of monic polynomials, (batch, d + 1) low-to-high,
+    as eigenvalues of the companion matrices ``np.roots`` builds."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    d = coeffs.shape[1] - 1
+    comp = np.zeros((len(coeffs), d, d), dtype=complex)
+    comp[:, 0, :] = -coeffs[:, d - 1 :: -1] / coeffs[:, d : d + 1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    return np.linalg.eigvals(comp)
 
 
 def from_zeros(zeros) -> ComplexPoly:

@@ -28,6 +28,7 @@ from .errors import (
     NoSolutionError,
     RankDeficiencyError,
 )
+from ._kernels import blaschke_values
 from .measures import ArcSpec, in_open_arc, same_orientation
 from .opuc import (
     MomentSequence,
@@ -39,7 +40,7 @@ from .opuc import (
     schur_from_moments,
 )
 from .poly import ONE, ComplexPoly, from_zeros
-from .qpopuc import QpopucSpec, assemble
+from .qpopuc import QpopucSpec, assemble, residual_rows
 from .measures import modified_hat_moments
 
 
@@ -55,21 +56,19 @@ class PrescriptionResult:
 
 
 def _f_values(deltas: SchurSequence, n: int, ell: int, alphas) -> np.ndarray:
-    return np.array(
-        [np.conj(blaschke_eval(deltas, n - ell, a.z)) for a in alphas]
-    )
+    z = np.array([a.z for a in alphas], dtype=complex)
+    return np.conj(blaschke_values(deltas.params(n - ell - 1), z))
 
 
 def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas, tol_rel):
     q = assemble(spec, deltas)
-    z = np.array([a.z for a in alphas])
-    resid = float(np.max(np.abs(q(z)))) if len(z) else 0.0
-    limit = tol_rel * q.max_abs_coeff()
-    if resid > limit:
+    z = np.array([a.z for a in alphas], dtype=complex)
+    ok, resid, limit = residual_rows(q.coeffs[None], z, tol_rel)
+    if not ok[0]:
         raise InternalConsistencyError(
-            f"prescribed-node residual {resid:.3e} exceeds {limit:.3e}"
+            f"prescribed-node residual {resid[0]:.3e} exceeds {limit[0]:.3e}"
         )
-    return resid
+    return float(resid[0])
 
 
 def radau(deltas: SchurSequence, n: int, alpha: UnitPoint) -> PrescriptionResult:
@@ -114,39 +113,26 @@ def lobatto2(
 
     Generic case: the single zero of P is eta = c12 + tau * a12 with
     conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
-    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2). Admissible iff |eta| < 1.
-    In the degenerate case f1 a1 = f2 a2 only one tau works and eta is
-    free along the chord between the nodes (parameter ``t``).
+    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2), the ell = 1 case of the
+    ``tau_pencil`` elimination. Admissible iff |eta| < 1, outside the
+    Schur-Cohn boundary band. In the degenerate case f1 a1 = f2 a2 only
+    one tau works and eta is free along the chord between the nodes
+    (parameter ``t``).
     """
-    if n < 3:
-        raise InvalidParameterError("lobatto2 requires n >= 3")
-    a1, a2 = alpha1.z, alpha2.z
-    if abs(a1 - a2) < 1e-12:
-        raise InvalidParameterError("prescribed nodes must be distinct")
-    f1, f2 = _f_values(deltas, n, 1, [alpha1, alpha2])
-    diagnostics = {"f_values": [f1, f2]}
-    if abs(f1 - f2) < 1e-12:
+    pencil = tau_pencil(deltas, n, 1, [alpha1, alpha2])
+    pencil.require_solvable()
+    a1, a2 = pencil.nodes
+    f1, f2 = pencil.f
+    diagnostics = {"f_values": [f1, f2], "degenerate_case": pencil.degenerate}
+    p, admitted = pencil.lobatto_rows([tau], t)
+    if not admitted[0]:
         raise NoSolutionError(
-            "Blaschke values at the two nodes coincide; eta would be forced "
-            "onto the unit circle"
+            f"degenerate configuration requires tau = {pencil.tau_required}, got {tau}"
         )
-    denom = f1 * a1 - f2 * a2
-    if abs(denom) < TOL.lobatto_degenerate * (abs(f1) + abs(f2)):
-        # degenerate: only one invariance parameter admits both nodes
-        tau_req = a1 * np.conj(f2)
-        diagnostics["degenerate_case"] = True
-        if abs(tau - tau_req) > 1e-9:
-            raise NoSolutionError(
-                f"degenerate configuration requires tau = {tau_req}, got {tau}"
-            )
-        if not (0.0 < t < 1.0):
-            raise InvalidParameterError("chord parameter t must lie in (0, 1)")
-        eta = a1 + t * (a2 - a1)
-    else:
-        c12 = np.conj((f1 - f2) / denom)
-        a12 = np.conj((a1 - a2) / denom)
-        eta = c12 + tau * a12
-        diagnostics.update(c12=complex(c12), a12=complex(a12), degenerate_case=False)
+    if pencil.degenerate and not (0.0 < t < 1.0):
+        raise InvalidParameterError("chord parameter t must lie in (0, 1)")
+    if not pencil.degenerate:
+        diagnostics.update(c12=complex(-pencil.b[0]), a12=complex(-pencil.a[0]))
         # admissible-tau arc: from a1*conj(f2) over the midpoint direction
         # to a2*conj(f1)
         x = a1 * np.conj(f2)
@@ -160,12 +146,24 @@ def lobatto2(
             diagnostics["tau_arc"] = ArcSpec(
                 UnitPoint.from_complex(y), UnitPoint.from_complex(x)
             )
-    diagnostics["eta"] = complex(eta)
-    admissible = abs(eta) < 1.0 - TOL.disk_boundary_band
-    spec = QpopucSpec(n, 1, from_zeros([eta]), tau)
+    diagnostics["eta"] = complex(-p[0, 0])
+    spec = QpopucSpec(n, 1, ComplexPoly(p[0]), tau)
+    admissible = _schur_admissible(spec.P, diagnostics)
     if admissible:
         _check_residual(spec, deltas, [alpha1, alpha2], TOL.node_residual)
     return PrescriptionResult(spec, admissible, diagnostics)
+
+
+def _schur_admissible(poly: ComplexPoly, diagnostics: dict) -> bool:
+    """Schur-Cohn verdict on P; a boundary-band hit is inadmissible and
+    recorded under ``boundary_degenerate``."""
+    try:
+        sc = schur_cohn(poly)
+    except BoundaryDegenerateError as exc:
+        diagnostics["boundary_degenerate"] = str(exc)
+        return False
+    diagnostics["schur_params"] = sc.params
+    return sc.stable
 
 
 def _mobius_through(points, images):
@@ -241,68 +239,172 @@ def _vandermonde(points, cols):
     return pts[:, None] ** np.arange(cols)[None, :]
 
 
-def prescribe_2l(
-    deltas: SchurSequence, n: int, ell: int, alphas: list[UnitPoint], tau: complex
-) -> PrescriptionResult:
-    """2*ell prescribed nodes with given tau.
+def _solve(m, rhs):
+    """np.linalg.solve, with NaN for an exactly singular matrix; the
+    condition numbers and agreement checks then refuse the result."""
+    try:
+        return np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        return np.full(np.shape(rhs), np.nan + 0j)
 
-    Builds the coupled linear system in (p, conj(p)) from the
-    interpolation conditions P(a_i) + tau f_i P*(a_i) = 0, solves it
-    directly, and cross-checks against the Schur-complement elimination
-    form. Admissible iff P passes the Schur-Cohn test.
+
+@dataclass(frozen=True)
+class TauPencil:
+    """The 2*ell-node prescription as an affine function of tau.
+
+    The interpolation conditions P(a_i) + tau f_i P*(a_i) = 0 are linear
+    in (p, conj(p)), and tau only scales the conj(p) columns: the coupled
+    matrix is M(tau) = M diag(I, tau I). One solve with M therefore gives
+    the low coefficients of the monic P as p(tau) = tau a + b, and the
+    conj(p) block as a_conj + conj(tau) b_conj. The Schur-complement
+    elimination gives the same pencil (a_elim, b_elim) a second way; it
+    is the check on the coupled solve, and for two nodes, where it is the
+    closed form of ``lobatto2``, it is the pencil itself.
+    """
+
+    ell: int
+    nodes: np.ndarray  # prescribed points a_i
+    f: np.ndarray  # f_i = conj(F_{n-ell}(a_i))
+    a: np.ndarray  # p(tau) = tau a + b
+    b: np.ndarray
+    a_conj: np.ndarray  # conj(p) block of the coupled solve
+    b_conj: np.ndarray
+    a_elim: np.ndarray  # p(tau) from the elimination
+    b_elim: np.ndarray
+    cond: float  # 1-norm condition number of M, the same for every tau
+    cond_elim: float  # 1-norm condition number of the eliminated ell x ell system
+
+    @property
+    def degenerate(self) -> bool:
+        """ell = 1 with f1 a1 = f2 a2: the elimination is singular."""
+        if self.ell != 1:
+            return False
+        (a1, a2), (f1, f2) = self.nodes, self.f
+        return abs(f1 * a1 - f2 * a2) < TOL.lobatto_degenerate * (abs(f1) + abs(f2))
+
+    @property
+    def tau_required(self) -> complex:
+        """The one tau a degenerate two-node configuration admits."""
+        return complex(self.nodes[0] * np.conj(self.f[1]))
+
+    def require_solvable(self) -> None:
+        """The tau-free refusals of ``prescribe_2l``: coinciding Blaschke
+        values for two nodes, an ill-conditioned system for more."""
+        if self.ell == 1:
+            if abs(self.f[0] - self.f[1]) < 1e-12:
+                raise NoSolutionError(
+                    "Blaschke values at the two nodes coincide; eta would be "
+                    "forced onto the unit circle"
+                )
+        elif not self.cond <= TOL.condition_limit:
+            raise ConditionViolationError(
+                f"prescription system condition number {self.cond:.3e} exceeds "
+                "limit; the node/Blaschke configuration is (near-)singular"
+            )
+
+    def coefficients(self, tau) -> np.ndarray:
+        """Monic P coefficients (batch, ell + 1), low-to-high, per tau."""
+        p = np.asarray(tau)[:, None] * self.a + self.b
+        return np.concatenate([p, np.ones((len(p), 1))], axis=1)
+
+    def defects(self, tau):
+        """Per tau, the coupled solve checked: (coupling_ok, agree_ok,
+        coupling). Its conj(p) block must equal conj(p), and p must equal
+        the elimination's, each relative to 1 + max |p|."""
+        tau = np.asarray(tau)[:, None]
+        p = tau * self.a + self.b
+        scale = 1.0 + np.max(np.abs(p), axis=1)
+        coupling = np.max(np.abs(self.a_conj + np.conj(tau) * self.b_conj - np.conj(p)), axis=1)
+        agree = np.max(np.abs(tau * self.a_elim + self.b_elim - p), axis=1)
+        return (
+            coupling <= TOL.coupling * scale,
+            agree <= TOL.solve_agreement * scale,
+            coupling,
+        )
+
+    def lobatto_rows(self, tau, t: float = 0.5):
+        """ell = 1: P coefficients per tau, and which taus the nodes admit.
+        A degenerate configuration admits only ``tau_required`` and puts
+        eta = a1 + t (a2 - a1) on the chord; any other admits every tau."""
+        tau = np.asarray(tau)
+        if not self.degenerate:
+            return self.coefficients(tau), np.ones(len(tau), dtype=bool)
+        a1, a2 = self.nodes
+        p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
+        return p, np.abs(tau - self.tau_required) <= 1e-9
+
+
+def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
+    """Factor the 2*ell-node prescription once: the f-values in one
+    Blaschke evaluation, the coupled solve, the Vandermonde/elimination
+    solves and both condition numbers.
+
+    Raises ``InvalidParameterError`` for a wrong node count or
+    coinciding nodes; every other refusal is left to the caller.
     """
     if len(alphas) != 2 * ell or ell < 1:
         raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
     if 2 * ell + 1 > n:
         raise InvalidParameterError("need 2*ell + 1 <= n")
-    if ell == 1:
-        return lobatto2(deltas, n, alphas[0], alphas[1], tau)
-    az = np.array([p.z for p in alphas])
+    az = np.array([p.z for p in alphas], dtype=complex)
     if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(2 * ell)) < 1e-12:
         raise InvalidParameterError("prescribed nodes must be distinct")
     f = _f_values(deltas, n, ell, alphas)
+    v = _vandermonde(az, ell)
+    d = az**ell
 
-    v1 = _vandermonde(az[:ell], ell)
-    v2 = _vandermonde(az[ell:], ell)
-    f1, f2 = f[:ell], f[ell:]
-    d1 = az[:ell] ** ell
-    d2 = az[ell:] ** ell
-    top = np.hstack([v1, tau * (f1 * d1)[:, None] * np.conj(v1)])
-    bot = np.hstack([v2, tau * (f2 * d2)[:, None] * np.conj(v2)])
-    m_full = np.vstack([top, bot])
-    rhs = np.concatenate([-tau * f1 - d1, -tau * f2 - d2])
-    cond = float(abs(np.linalg.cond(m_full, 1)))
-    if not np.isfinite(cond) or cond > TOL.condition_limit:
-        raise ConditionViolationError(
-            f"prescription system condition number {cond:.3e} exceeds limit; "
-            "the node/Blaschke configuration is (near-)singular"
+    coupled_m = np.hstack([v, (f * d)[:, None] * np.conj(v)])
+    cond = float(abs(np.linalg.cond(coupled_m, 1)))
+    # columns: the parts of the solution scaling with tau and free of it
+    coupled = _solve(coupled_m, -np.column_stack([f, d]))
+
+    # Schur-complement elimination: conj(p) from each half of the rows
+    halves = [
+        _solve(
+            np.conj(v[h]),
+            np.column_stack([np.conj(d[h] * f[h])[:, None] * v[h], np.conj(d[h]), np.conj(f[h])]),
         )
-    x = np.linalg.solve(m_full, rhs)
-    p, p_conj = x[:ell], x[ell:]
-    coupling = float(np.max(np.abs(p_conj - np.conj(p))))
-    if coupling > 1e-10 * (1.0 + np.max(np.abs(p))):
+        for h in (slice(0, ell), slice(ell, 2 * ell))
+    ]
+    w = halves[0] - halves[1]
+    m_elim = w[:, :ell]
+    cond_elim = float(abs(np.linalg.cond(m_elim, 1)))
+    elim = -_solve(m_elim, w[:, ell:])
+    pencil = elim if ell == 1 else coupled[:ell]
+    return TauPencil(
+        ell, az, f, pencil[:, 0], pencil[:, 1], coupled[ell:, 0], coupled[ell:, 1],
+        elim[:, 0], elim[:, 1], cond, cond_elim,
+    )
+
+
+def prescribe_2l(
+    deltas: SchurSequence, n: int, ell: int, alphas: list[UnitPoint], tau: complex
+) -> PrescriptionResult:
+    """2*ell prescribed nodes with given tau.
+
+    Evaluates the ``tau_pencil`` of the interpolation conditions
+    P(a_i) + tau f_i P*(a_i) = 0, the coupled solve in (p, conj(p)), and
+    checks its conjugate coupling and its agreement with the
+    Schur-complement elimination. Admissible iff P passes the Schur-Cohn
+    test.
+    """
+    if len(alphas) != 2 * ell or ell < 1:
+        raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
+    if ell == 1:
+        return lobatto2(deltas, n, alphas[0], alphas[1], tau)
+    pencil = tau_pencil(deltas, n, ell, alphas)
+    pencil.require_solvable()
+    coupling_ok, agree_ok, coupling = pencil.defects([tau])
+    if not coupling_ok[0]:
         raise InternalConsistencyError(
-            f"conjugate coupling violated by {coupling:.3e}"
+            f"conjugate coupling violated by {coupling[0]:.3e}"
         )
-
-    # Schur-complement elimination form, used as an independent check
-    w1 = np.linalg.solve(np.conj(v1), np.column_stack([np.conj(d1 * f1)[:, None] * v1, np.conj(d1), np.conj(f1)]))
-    w2 = np.linalg.solve(np.conj(v2), np.column_stack([np.conj(d2 * f2)[:, None] * v2, np.conj(d2), np.conj(f2)]))
-    m_elim = w1[:, :ell] - w2[:, :ell]
-    rhs_elim = tau * (w1[:, ell] - w2[:, ell]) + (w1[:, ell + 1] - w2[:, ell + 1])
-    p_elim = -np.linalg.solve(m_elim, rhs_elim)
-    if np.max(np.abs(p_elim - p)) > 1e-8 * (1.0 + np.max(np.abs(p))):
+    if not agree_ok[0]:
         raise InternalConsistencyError("elimination and direct solves disagree")
 
-    poly = ComplexPoly(np.concatenate([p, [1.0]]))
-    diagnostics = {"f_values": list(f), "condition": cond}
-    try:
-        sc = schur_cohn(poly)
-        admissible = sc.stable
-        diagnostics["schur_params"] = sc.params
-    except BoundaryDegenerateError as exc:
-        admissible = False
-        diagnostics["boundary_degenerate"] = str(exc)
+    poly = ComplexPoly(pencil.coefficients([tau])[0])
+    diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
+    admissible = _schur_admissible(poly, diagnostics)
     spec = QpopucSpec(n, ell, poly, tau)
     _check_residual(spec, deltas, alphas, TOL.node_residual)
     return PrescriptionResult(spec, admissible, diagnostics)
@@ -374,13 +476,7 @@ def prescribe_2lp1(
             f"homogeneous residual {np.max(hom):.3e} after tau recovery"
         )
     diagnostics = {"f_values": list(f), "condition": cond, "tau": tau}
-    try:
-        sc = schur_cohn(poly)
-        admissible = sc.stable
-        diagnostics["schur_params"] = sc.params
-    except BoundaryDegenerateError as exc:
-        admissible = False
-        diagnostics["boundary_degenerate"] = str(exc)
+    admissible = _schur_admissible(poly, diagnostics)
     spec = QpopucSpec(n, ell, poly, tau)
     _check_residual(spec, deltas, alphas, TOL.node_residual)
     return PrescriptionResult(spec, admissible, diagnostics)
@@ -465,30 +561,12 @@ def tau_for_omega(
     if ell == 0:
         a_coef, b_coef = 0.0 + 0.0j, 1.0 + 0.0j
     else:
-        az = np.array([p.z for p in alphas])
-        f = _f_values(deltas, n, ell, alphas)
-        v1 = _vandermonde(az[:ell], ell)
-        v2 = _vandermonde(az[ell:], ell)
-        f1, f2 = f[:ell], f[ell:]
-        d1 = az[:ell] ** ell
-        d2 = az[ell:] ** ell
-        w1 = np.linalg.solve(
-            np.conj(v1),
-            np.column_stack([np.conj(d1 * f1)[:, None] * v1, np.conj(d1), np.conj(f1)]),
-        )
-        w2 = np.linalg.solve(
-            np.conj(v2),
-            np.column_stack([np.conj(d2 * f2)[:, None] * v2, np.conj(d2), np.conj(f2)]),
-        )
-        m_elim = w1[:, :ell] - w2[:, :ell]
-        cond = float(abs(np.linalg.cond(m_elim, 1)))
-        if not np.isfinite(cond) or cond > TOL.condition_limit:
+        pencil = tau_pencil(deltas, n, ell, alphas)
+        if not pencil.cond_elim <= TOL.condition_limit:
             raise ConditionViolationError(
-                f"tau-parametrized system condition {cond:.3e} exceeds limit"
+                f"tau-parametrized system condition {pencil.cond_elim:.3e} exceeds limit"
             )
-        minv = np.linalg.inv(m_elim)
-        a_coef = complex(-(minv @ (w1[:, ell] - w2[:, ell]))[0])
-        b_coef = complex(-(minv @ (w1[:, ell + 1] - w2[:, ell + 1]))[0])
+        a_coef, b_coef = complex(pencil.a_elim[0]), complex(pencil.b_elim[0])
 
     d_big = np.conj(delta)
     scale = max(abs(a_coef), abs(b_coef), 1.0)

@@ -13,7 +13,7 @@ span{z^{ell+1}, ..., z^{n-ell-1}}.
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,8 @@ from .errors import (
     InvarianceError,
     NotRepresentableError,
 )
-from .opuc import SchurSequence, UnitPoint, blaschke_solve, schur_cohn, szego_from_schur
-from .poly import ComplexPoly
+from .opuc import SchurSequence, UnitPoint, blaschke_solve, circle_roots, schur_cohn
+from .poly import ComplexPoly, horner
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,76 @@ class OrthogonalityParams:
     q_poly: ComplexPoly | None = None
 
 
+def assemble_rows(p, tau, rho) -> np.ndarray:
+    """Batch kernel of ``assemble``: monic P coefficients (batch, ell + 1),
+    one tau per row and the shared rho_k coefficients give the rows'
+    Q = z P rho_k + tau P* rho*_k, (batch, ell + k + 2) low-to-high."""
+    p = np.asarray(p, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    ell, k = p.shape[1] - 1, len(rho) - 1
+    p_star, rho_star = np.conj(p[:, ::-1]), np.conj(rho[::-1])
+    q = np.zeros((len(p), ell + k + 2), dtype=complex)
+    star = np.zeros((len(p), ell + k + 1), dtype=complex)
+    for j in range(ell + 1):
+        q[:, j + 1 : j + k + 2] += p[:, j : j + 1] * rho
+        star[:, j : j + k + 1] += p_star[:, j : j + 1] * rho_star
+    q[:, :-1] += np.asarray(tau)[:, None] * star
+    return q
+
+
+def residual_rows(q, z, tol_rel):
+    """Per row of Q coefficients: (ok, max |Q(z)|, limit), with ok when the
+    residual stays within tol_rel times the largest coefficient."""
+    resid = np.max(np.abs(horner(q, z)), axis=1, initial=0.0)
+    limit = tol_rel * np.max(np.abs(q), axis=1)
+    return resid <= limit, resid, limit
+
+
+@functools.cache
+def _spot_points() -> np.ndarray:
+    """32 fixed circle points for the modified-chain spot check (made on
+    first use, so importing the package does not import numpy.random)."""
+    z = np.exp(1j * np.random.default_rng(1729).uniform(0.0, 2.0 * np.pi, size=32))
+    z.flags.writeable = False
+    return z
+
+
+def representation_rows(q, combined, tau):
+    """Per row: (ok, deviation) of Q = z rho~_{n-1} + tau rho~*_{n-1} at 32
+    circle points, rho~ the chain of the row's ``combined`` parameters."""
+    z = _spot_points()
+    rho, rho_star = szego_eval(combined, z)
+    direct = horner(q, z)
+    dev = np.max(np.abs(direct - (z * rho + np.asarray(tau)[:, None] * rho_star)), axis=1)
+    return dev <= TOL.representation * np.max(np.abs(q), axis=1), dev
+
+
+def modified_params(deltas: SchurSequence, n: int, kappas, tau) -> np.ndarray:
+    """delta_1..delta_{n-ell-1} followed by tau * conj(kappa_j), j = ell..1,
+    per row: kappas (batch, ell) from ``schur_cohn_rows``, tau (batch,)."""
+    kappas = np.asarray(kappas, dtype=complex)
+    base = deltas.params(n - kappas.shape[1] - 1)
+    synthetic = np.asarray(tau)[:, None] * np.conj(kappas)
+    return np.concatenate([np.broadcast_to(base, (len(kappas), len(base))), synthetic], axis=1)
+
+
+def zeros_rows(q, combined, tau):
+    """Batch kernel of ``zeros_on_circle`` for rows whose P is stable.
+
+    Returns the rows' node angles (batch, n) and whether each row passes
+    every certificate: the representation spot check, the root residual
+    and root gap of ``circle_roots``, and the nodal residual |Q(z)|.
+    """
+    rep_ok, _ = representation_rows(q, combined, tau)
+    roots = circle_roots(combined, -np.asarray(tau))
+    nodal_ok = residual_rows(q, np.exp(1j * roots.theta), TOL.node_residual)[0]
+    return roots.theta, rep_ok & roots.resid_ok & roots.gap_ok & nodal_ok
+
+
 def assemble(spec: QpopucSpec, deltas: SchurSequence) -> ComplexPoly:
     """Coefficients of Q = z P rho_{n-ell-1} + tau P* rho*_{n-ell-1}."""
-    k = spec.n - spec.ell - 1
-    rho = ComplexPoly(deltas.rho_coeffs(k))
-    rho_star = rho.reciprocal(k)
-    p_star = spec.P.reciprocal(spec.ell)
-    q = (spec.P * rho).shift(1) + spec.tau * (p_star * rho_star)
+    rho = deltas.rho_coeffs(spec.n - spec.ell - 1)
+    q = ComplexPoly(assemble_rows(spec.P.coeffs[None], [spec.tau], rho)[0])
     if q.degree != spec.n:
         raise InternalConsistencyError("assembled polynomial has wrong degree")
     return q
@@ -131,8 +194,8 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
     Q = z rho~_{n-1} + tau rho~*_{n-1} for the modified chain rho~.
     The identity is spot-checked at 32 circle points.
     """
-    n, ell, tau = spec.n, spec.ell, spec.tau
-    if ell > 0:
+    kappas = np.zeros((1, 0), dtype=complex)
+    if spec.ell > 0:
         sc = schur_cohn(spec.P)
         if not sc.stable:
             raise NotRepresentableError(
@@ -140,22 +203,14 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
                 f"(worst Schur-Cohn parameter {sc.worst:.6f}); no equivalent "
                 "reflection-coefficient chain exists"
             )
-        synthetic = [tau * np.conj(sc.kappas[j]) for j in range(ell, 0, -1)]
-    else:
-        synthetic = []
-    combined = np.concatenate(
-        [deltas.params(n - ell - 1), np.array(synthetic, dtype=complex)]
-    )
-    modified = SchurSequence.from_params(combined, e0=float(deltas.norms[0]))
-
-    rng = np.random.default_rng(1729)
-    z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=32))
-    rho, rho_star = szego_eval(combined, z)
-    direct = assemble(spec, deltas)
-    dev = np.max(np.abs(direct(z) - (z * rho + tau * rho_star)))
-    if dev > TOL.representation * direct.max_abs_coeff():
+        kappas = np.array([sc.params])
+    tau = [spec.tau]
+    combined = modified_params(deltas, spec.n, kappas, tau)
+    modified = SchurSequence.from_params(combined[0], e0=float(deltas.norms[0]))
+    ok, dev = representation_rows(assemble(spec, deltas).coeffs[None], combined, tau)
+    if not ok[0]:
         raise InternalConsistencyError(
-            f"modified-chain representation deviates by {dev:.3e}"
+            f"modified-chain representation deviates by {dev[0]:.3e}"
         )
     return modified
 
@@ -173,9 +228,9 @@ def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> list[UnitPoint]:
     pts = blaschke_solve(modified, spec.n, -spec.tau)
     q = assemble(spec, deltas)
     z = np.array([p.z for p in pts])
-    resid = np.max(np.abs(q(z)))
-    if resid > TOL.node_residual * q.max_abs_coeff():
+    ok, resid, _ = residual_rows(q.coeffs[None], z, TOL.node_residual)
+    if not ok[0]:
         raise InternalConsistencyError(
-            f"zero residual {resid:.3e} exceeds tolerance"
+            f"zero residual {resid[0]:.3e} exceeds tolerance"
         )
     return pts

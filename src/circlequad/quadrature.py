@@ -27,15 +27,35 @@ from .errors import (
     PositivityViolationError,
 )
 from .measures import MeasureSpec, moments
-from .opuc import TWO_PI, MomentSequence, SchurSequence, UnitPoint, schur_from_moments
-from .poly import ONE
-from .prescribe import prescribe_2l
-from .qpopuc import QpopucSpec, assemble, orthogonality_params, zeros_on_circle
+from .opuc import (
+    TWO_PI,
+    MomentSequence,
+    SchurSequence,
+    UnitPoint,
+    schur_cohn_rows,
+    schur_from_moments,
+)
+from .poly import ONE, companion_roots
+from .prescribe import prescribe_2l, tau_pencil
+from .qpopuc import (
+    QpopucSpec,
+    assemble,
+    assemble_rows,
+    modified_params,
+    orthogonality_params,
+    residual_rows,
+    zeros_on_circle,
+    zeros_rows,
+)
 
 GREEN = "positive"
 RED_SCHUR = "inadmissible-schur"
 RED_WEIGHTS = "simple-nodes-nonpositive-weights"
 RED_BOUNDARY = "boundary-degenerate"
+# the batched scan labels with codes into this array, so that every label
+# it returns is one of the four strings above, not a copy
+_LABELS = np.array([GREEN, RED_SCHUR, RED_WEIGHTS, RED_BOUNDARY], dtype=object)
+_GREEN, _SCHUR, _WEIGHTS, _BOUNDARY = range(4)
 
 
 @dataclass(frozen=True)
@@ -61,6 +81,45 @@ class TauScan:
     arcs: list  # of (theta_start, theta_end) green arcs, refined
 
 
+def weights_rows(z, mu_arr, mu0: float):
+    """Batch kernel of ``weights``: nodes z (batch, n) and the moments
+    mu_{-m}..mu_m give the weights (batch, n) by stacked least squares
+    on the real/imaginary system, and per row whether the moment
+    residual stays within TOL.weight_residual * mu_0.
+
+    The triangular factor of [A | b] holds R and Q^T b of A = QR, so Q
+    is never formed.
+    """
+    z = np.asarray(z, dtype=complex)
+    rows, n = z.shape
+    k = len(mu_arr)
+    m = (k - 1) // 2
+    powers = z[:, None, :] ** np.arange(-m, m + 1)[:, None]
+    aug = np.empty((rows, 2 * k, n + 1))
+    aug[:, :k, :n], aug[:, k:, :n] = powers.real, powers.imag
+    aug[:, :k, n], aug[:, k:, n] = mu_arr.real, mu_arr.imag
+    del powers  # [A | b] also gives the residual; keep one copy of A
+    r = np.linalg.qr(aug, mode="r")
+    # back substitution; a zero pivot leaves NaN weights, which fail the
+    # residual check below
+    lam = np.zeros((rows, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            lam[:, i] = (r[:, i, n] - np.sum(r[:, i, i + 1 : n] * lam[:, i + 1 :], axis=1)) / r[:, i, i]
+    fit = np.matmul(aug[:, :, :n], lam[:, :, None])[:, :, 0] - aug[:, :, n]
+    resid = np.max(np.abs(fit[:, :k] + 1j * fit[:, k:]), axis=1)
+    return lam, resid <= TOL.weight_residual * mu0, resid
+
+
+def weight_checks(lam, mu0: float):
+    """Per row of weights: (positive, sum_ok). Every weight must exceed
+    TOL.weight_positive, and the weights must sum to mu_0 within
+    TOL.weight_sum * mu_0."""
+    positive = np.min(lam, axis=1) > TOL.weight_positive
+    sum_ok = np.abs(np.sum(lam, axis=1) - mu0) <= TOL.weight_sum * mu0
+    return positive, sum_ok
+
+
 def weights(nodes, mu: MomentSequence, m: int) -> np.ndarray:
     """Weights matching all moments mu_k, |k| <= m, in least squares.
 
@@ -74,22 +133,16 @@ def weights(nodes, mu: MomentSequence, m: int) -> np.ndarray:
         raise InvalidParameterError(f"2m + 1 = {2 * m + 1} rows cannot pin {n} weights")
     if mu.order < m:
         raise InvalidParameterError(f"need moments to order {m}, have {mu.order}")
-    z = np.array([p.z for p in nodes])
-    k = np.arange(-m, m + 1)
-    a = z[None, :] ** k[:, None]
-    b = mu.array(-m, m)
-    a_real = np.vstack([a.real, a.imag])
-    b_real = np.concatenate([b.real, b.imag])
-    lam, *_ = np.linalg.lstsq(a_real, b_real, rcond=None)
-    resid = float(np.max(np.abs(a @ lam - b)))
+    z = np.array([[p.z for p in nodes]], dtype=complex)
     mu0 = float(mu.get(0).real)
-    if resid > TOL.weight_residual * mu0:
+    lam, ok, resid = weights_rows(z, mu.array(-m, m), mu0)
+    if not ok[0]:
         raise NodesNotQuadratureError(
-            f"moment-matching residual {resid:.3e} exceeds {TOL.weight_residual * mu0:.1e}; "
-            "the nodes are not the zeros of a quasi-paraorthogonal polynomial "
-            "for this measure"
+            f"moment-matching residual {resid[0]:.3e} exceeds "
+            f"{TOL.weight_residual * mu0:.1e}; the nodes are not the zeros of a "
+            "quasi-paraorthogonal polynomial for this measure"
         )
-    return lam
+    return lam[0]
 
 
 def build_rule(
@@ -114,7 +167,8 @@ def build_rule(
     params = orthogonality_params(spec, deltas)
     omega = None if params.collapsed else params.omega
     mu0 = float(mu.get(0).real)
-    if np.min(lam) <= TOL.weight_positive:
+    positive, sum_ok = weight_checks(lam[None], mu0)
+    if not positive[0]:
         raise PositivityViolationError(
             f"minimum weight {np.min(lam):.3e} is not positive",
             diagnostics={
@@ -123,7 +177,7 @@ def build_rule(
                 "tau": spec.tau,
             },
         )
-    if abs(float(np.sum(lam)) - mu0) > 1e-10 * mu0:
+    if not sum_ok[0]:
         raise NodesNotQuadratureError(
             f"weights sum to {np.sum(lam)}, expected mu_0 = {mu0}"
         )
@@ -181,13 +235,19 @@ def verify_exactness(rule: QuadRule, mu: MomentSequence) -> dict:
 
 
 def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
-    """One scanner grid point -> classification label."""
+    """One scanner grid point -> classification label.
+
+    The per-point reference for ``scan_tau``'s batched labels: it runs
+    the public prescription and rule chain and maps its errors to labels.
+    """
     try:
         if ell == 0:
             res_spec = QpopucSpec(n, 0, ONE, tau)
             admissible = True
         else:
             pres = prescribe_2l(deltas, n, ell, alphas, tau)
+            if "boundary_degenerate" in pres.diagnostics:
+                return RED_BOUNDARY
             res_spec = pres.spec
             admissible = pres.admissible
     except CircleQuadError:
@@ -200,25 +260,117 @@ def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
             return RED_WEIGHTS
         except CircleQuadError:
             return RED_BOUNDARY
-    # Schur-Cohn failed: peek at the zeros of Q through the companion
-    # matrix (diagnostic only) to tell off-circle pairs apart from
-    # simple circle nodes with some negative weight
     try:
         q = assemble(res_spec, deltas)
     except CircleQuadError:
         return RED_BOUNDARY
-    roots = q.roots()
-    if np.max(np.abs(np.abs(roots) - 1.0)) > 1e-6:
-        return RED_SCHUR
-    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
-    if np.min(gaps) < 1e-8:
-        return RED_BOUNDARY
-    try:
-        pts = [UnitPoint.from_complex(r, tol=1e-6) for r in roots]
-        lam = weights(pts, mu, n - ell - 1)
-    except CircleQuadError:
-        return RED_SCHUR
-    return RED_WEIGHTS if np.min(lam) <= TOL.weight_positive else GREEN
+    m = n - ell - 1
+    return _LABELS[_root_codes(q.coeffs[None], mu.array(-m, m), float(mu.get(0).real))[0]]
+
+
+def _root_codes(q, mu_arr, mu0: float) -> np.ndarray:
+    """Label codes for rows whose P failed Schur-Cohn: peek at the zeros of Q
+    through the companion matrix (diagnostic only) to tell off-circle
+    pairs apart from simple circle nodes with some nonpositive weight."""
+    roots = companion_roots(q)
+    mod = np.abs(roots)
+    on_circle = np.max(np.abs(mod - 1.0), axis=1) <= TOL.scan_on_circle
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :]) + np.eye(roots.shape[1])
+    simple = np.min(gaps, axis=(1, 2)) >= TOL.scan_root_gap
+    lam, resid_ok, _ = weights_rows(roots / mod, mu_arr, mu0)
+    positive, _ = weight_checks(lam, mu0)
+    return np.select(
+        [~on_circle, ~simple, ~resid_ok, ~positive],
+        [_SCHUR, _BOUNDARY, _SCHUR, _WEIGHTS],
+        _GREEN,
+    )
+
+
+# tau values labelled per batch: this bounds the scan's working memory,
+# and larger blocks are no faster
+_BLOCK = 64
+
+
+class _Scan:
+    """The tau-free part of one scan: chain, moments, pencil and nodes.
+
+    ``labels`` gives the ``_classify`` label of every tau, computed a
+    block at a time through the batch kernels; each check of the
+    per-point chain is a per-row mask here.
+    """
+
+    def __init__(self, measure, n: int, ell: int, alphas):
+        m = n - ell - 1
+        self.n, self.ell = n, ell
+        mu = moments(measure, max(2 * m + 2, n - ell))
+        self.deltas = schur_from_moments(mu, n - ell)
+        self.mu_arr = mu.array(-m, m)
+        self.mu0 = float(mu.get(0).real)
+        self.rho = self.deltas.rho_coeffs(m)
+        self.nodes = np.array([a.z for a in alphas], dtype=complex)
+        self.pencil = None
+        self.refused = False  # a tau-free refusal: every point is boundary
+        try:
+            if ell == 0:
+                QpopucSpec(n, 0, ONE, 1.0 + 0.0j)  # validates n as every point would
+            else:
+                self.pencil = tau_pencil(self.deltas, n, ell, alphas)
+                self.pencil.require_solvable()
+        except CircleQuadError:
+            self.refused = True
+
+    def labels(self, thetas) -> np.ndarray:
+        tau = np.exp(1j * np.asarray(thetas, dtype=float))
+        return _LABELS[
+            np.concatenate(
+                [self._block(tau[i : i + _BLOCK]) for i in range(0, len(tau), _BLOCK)]
+            )
+        ]
+
+    def _block(self, tau) -> np.ndarray:
+        codes = np.full(len(tau), _BOUNDARY)
+        if self.refused or not len(tau):
+            return codes
+        ell = self.ell
+        if ell == 0:
+            p = np.ones((len(tau), 1), dtype=complex)
+            kappas = np.zeros((len(tau), 0), dtype=complex)
+            ok = np.ones(len(tau), dtype=bool)
+            admissible = np.ones(len(tau), dtype=bool)
+        else:
+            if ell == 1:
+                p, ok = self.pencil.lobatto_rows(tau)
+            else:
+                coupling_ok, agree_ok, _ = self.pencil.defects(tau)
+                ok = coupling_ok & agree_ok
+                p = self.pencil.coefficients(tau)
+            kappas, stable, band = schur_cohn_rows(p)
+            ok &= ~band
+            admissible = stable & ~band
+        q = assemble_rows(p, tau, self.rho)
+        if ell:
+            # two nodes are checked only on an admissible P, more always
+            checked = admissible if ell == 1 else ok
+            ok &= ~checked | residual_rows(q, self.nodes, TOL.node_residual)[0]
+        rows = np.nonzero(ok & admissible)[0]
+        if len(rows):
+            codes[rows] = self._rule_codes(q[rows], kappas[rows], tau[rows])
+        rows = np.nonzero(ok & ~admissible)[0]
+        if len(rows):
+            codes[rows] = _root_codes(q[rows], self.mu_arr, self.mu0)
+        return codes
+
+    def _rule_codes(self, q, kappas, tau) -> np.ndarray:
+        """``build_rule`` on rows with a stable P."""
+        combined = modified_params(self.deltas, self.n, kappas, tau)
+        theta, nodes_ok = zeros_rows(q, combined, tau)
+        lam, resid_ok, _ = weights_rows(np.exp(1j * theta), self.mu_arr, self.mu0)
+        positive, sum_ok = weight_checks(lam, self.mu0)
+        return np.select(
+            [~(nodes_ok & resid_ok), ~positive, ~sum_ok],
+            [_BOUNDARY, _WEIGHTS, _BOUNDARY],
+            _GREEN,
+        )
 
 
 def scan_tau(
@@ -230,58 +382,53 @@ def scan_tau(
 ) -> TauScan:
     """Classify the invariance parameter over a uniform circle grid.
 
-    Adjacent grid points with the positive classification are merged
-    into maximal arcs (with wraparound); each green/non-green boundary
-    is then refined by bisection to the configured angular resolution.
+    The prescription is factored once as a tau-affine pencil; the grid
+    is then labelled in blocks of 64 tau values through the batch
+    kernels, each block giving the labels ``_classify`` gives point by
+    point. Adjacent grid points with the positive classification are
+    merged into maximal arcs (with wraparound), and every arc end is
+    refined by bisection, all ends in lockstep, to the configured
+    angular resolution.
     """
     if grid_size < 8:
         raise InvalidParameterError("grid_size must be at least 8")
-    m = n - ell - 1
-    need = max(2 * m + 2, n - ell)
-    mu = moments(measure, need)
-    deltas = schur_from_moments(mu, n - ell)
+    scan = _Scan(measure, n, ell, alphas)
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
+    labels = scan.labels(thetas)
 
-    def label_at(theta):
-        return _classify(
-            measure, n, ell, alphas, complex(np.exp(1j * theta)), mu, deltas
-        )
-
-    labels = [label_at(t) for t in thetas]
-
-    green = [lab == GREEN for lab in labels]
+    green = labels == GREEN
     arcs = []
-    if all(green):
+    if green.all():
         arcs.append((0.0, TWO_PI))
-    elif any(green):
-        # walk runs of green points with wraparound
-        g = np.array(green)
-        starts = np.where(g & ~np.roll(g, 1))[0]
-        for s in starts:
-            e = s
-            while g[(e + 1) % grid_size]:
-                e = (e + 1) % grid_size
-            lo = _refine_boundary(label_at, thetas[s], -TWO_PI / grid_size)
-            hi = _refine_boundary(label_at, thetas[e], TWO_PI / grid_size)
-            arcs.append((lo % TWO_PI, hi % TWO_PI))
-        arcs.sort()
-    return TauScan(thetas=thetas, labels=labels, arcs=arcs)
+    elif green.any():
+        # runs of green points with wraparound: each starts after a
+        # non-green point and ends before one
+        starts = np.nonzero(green & ~np.roll(green, 1))[0]
+        ends = np.nonzero(green & ~np.roll(green, -1))[0]
+        step = TWO_PI / grid_size
+        bounds = _refine_boundaries(
+            scan, np.concatenate([thetas[starts], thetas[ends]]),
+            np.repeat([-step, step], len(starts)),
+        )
+        lo, hi = np.split(bounds % TWO_PI, 2)
+        # the run starting at starts[i] ends at the first end at or after it
+        j = np.searchsorted(ends, starts) % len(ends)
+        arcs = sorted(zip(lo.tolist(), hi[j].tolist()))
+    return TauScan(thetas=thetas, labels=labels.tolist(), arcs=arcs)
 
 
-def _refine_boundary(label_at, theta_green, step):
-    """Bisect between a green angle and its non-green neighbor."""
-    lo, hi = theta_green, theta_green + step
-    while abs(hi - lo) > TOL.scan_refine:
-        mid = 0.5 * (lo + hi)
-        if label_at(mid) == GREEN:
-            lo = mid
-        else:
-            hi = mid
+def _refine_boundaries(scan: _Scan, theta_green, step) -> np.ndarray:
+    """Bisect between each green angle and its non-green neighbor at
+    ``theta_green + step``, all in lockstep."""
+    lo, hi = theta_green.astype(float), theta_green + step
+    active = np.nonzero(np.abs(hi - lo) > TOL.scan_refine)[0]
+    while len(active):
+        mid = 0.5 * (lo[active] + hi[active])
+        green = scan.labels(mid) == GREEN
+        lo[active[green]] = mid[green]
+        hi[active[~green]] = mid[~green]
+        active = active[np.abs(hi[active] - lo[active]) > TOL.scan_refine]
     return 0.5 * (lo + hi)
-
-
-def apply(rule: QuadRule, f) -> complex:
-    return rule.apply(f)
 
 
 def rule_to_dict(rule: QuadRule, residuals: dict | None = None) -> dict:

@@ -88,7 +88,7 @@ SEVEN_NODE_TAU = -0.363884303133021 - 0.931444155026694j
 # the moment-matching certificate. The five remaining upstream rows repeat
 # weights of the six-node rule verbatim and their full column sums to
 # 0.8782 instead of mu_0 = 1, so they fail the certificate and are checked
-# for node position only (see the decisions ledger for the analysis).
+# for node position only.
 SEVEN_NODE_CONSISTENT = [
     (0.925520203512843 - 0.378698234600514j, 0.168718787427850),
     (1.000000000000000 - 0.000000000000001j, 0.184031304001781),

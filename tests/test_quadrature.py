@@ -30,7 +30,6 @@ from circlequad.quadrature import (
     GREEN,
     RED_SCHUR,
     RED_WEIGHTS,
-    apply,
     rule_from_dict,
     rule_to_dict,
     save_rule,
@@ -152,18 +151,18 @@ class TestVerifyExactness:
 class TestApply:
     def test_constant(self):
         rule = lebesgue_rule()
-        assert abs(apply(rule, lambda z: np.ones_like(z)) - 1.0) < 1e-14
+        assert abs(rule.apply(lambda z: np.ones_like(z)) - 1.0) < 1e-14
 
     def test_monomials(self, rogers_half):
         rule = build_rule(rogers_half, QpopucSpec(6, 0, ONE, 1.0 + 0j))
         mu = moments(rogers_half, rule.m)
         for k in range(rule.m + 1):
-            assert abs(apply(rule, lambda z, k=k: z**k) - mu.get(k)) < 1e-9
+            assert abs(rule.apply(lambda z, k=k: z**k) - mu.get(k)) < 1e-9
 
     def test_cos_squared_lebesgue(self):
         # Re(z)**2 = (z + 1/z)**2 / 4 lies in the exactness space
         rule = lebesgue_rule()
-        val = apply(rule, lambda z: ((z + 1.0 / z) / 2.0) ** 2)
+        val = rule.apply(lambda z: ((z + 1.0 / z) / 2.0) ** 2)
         assert abs(val - 0.5) < 1e-12
 
 
