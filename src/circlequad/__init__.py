@@ -8,6 +8,7 @@ from .opuc import (
     MomentSequence,
     SchurSequence,
     UnitPoint,
+    UnitPoints,
     blaschke_eval,
     blaschke_solve,
     inner_product,
@@ -58,6 +59,7 @@ __all__ = [
     "MomentSequence",
     "SchurSequence",
     "UnitPoint",
+    "UnitPoints",
     "ArcSpec",
     "MeasureSpec",
     "moments",

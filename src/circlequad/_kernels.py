@@ -1,7 +1,8 @@
-"""Hot numeric kernels: pointwise Szego recursion on arrays of circle points.
+"""Hot numeric kernels on arrays of circle points: the pointwise Szego
+recursion and the split Blaschke phase of the node solve (numpy only).
 
-Two implementations are provided: a numba ``@njit`` version and a pure
-numpy fallback. Selection is made once at import time from the
+The Szego recursion has two implementations: a numba ``@njit`` version
+and a pure numpy fallback. Selection is made once at import time from the
 ``CIRCLEQUAD_NUMBA`` environment variable: set it to ``0`` to force the
 numpy path; any other value (or unset) uses numba when it is importable.
 """
@@ -113,3 +114,61 @@ def blaschke_phase_slope(deltas, z):
     f = z * rho / rho_star
     slope = (1.0 + z * (drho / rho - drho_star / rho_star)).real
     return f, slope
+
+
+def split_phase(deltas, theta, target):
+    """Split Pruefer phase of F_n(e^{i theta}) = target, n - 1 = deltas.shape[-1].
+
+    F_{j+1} = z (F_j + delta_j) / (1 + conj(delta_j) F_j) runs forward
+    from F_1 = z over delta_1..delta_{k-1}, and its inverse runs backward
+    from G_n = target over delta_{n-1}..delta_k, k = ceil(n/2); the
+    solutions are the angles where F_k = G_k. Each forward step adds
+    theta + 2 Arg(1 + delta_j conj F_j) to the phase of F, each backward
+    step -theta + 2 Arg(1 - delta_j conj(G_{j+1} conj z)) to that of G,
+    and both Args lie in (-pi/2, pi/2), so the phases unwrap exactly.
+
+    Returns (r, wrapped, slope): the unwrapped residual r = arg F_k -
+    arg G_k, which increases by 2 pi n around the circle; arg(F_k conj
+    G_k), the same residual reduced to (-pi, pi] but accurate to
+    rounding; and dr/dtheta >= 1. ``theta`` broadcasts against the
+    batch axes of ``deltas`` as (..., points), ``target`` as (..., 1).
+    """
+    deltas = np.asarray(deltas, dtype=np.complex128)
+    theta = np.asarray(theta, dtype=float)
+    target = np.asarray(target, dtype=np.complex128)
+    n = deltas.shape[-1] + 1
+    pairs = (n - 1) // 2
+    steps = np.moveaxis(deltas, -1, 0)[..., None]
+    z = np.exp(1j * theta)
+    zc = np.conj(z)
+    # The two halves run side by side, row 0 forward on x = conj(F_j) and
+    # row 1 backward on x = conj(G_{j+1}) z, pairing delta_j with
+    # delta_{n-j}. Both rows step as x <- x s conj(y) / y, y = 1 + e x,
+    # and their phase slopes as t <- (t + kappa) (1 - |e|^2) / |y|^2 +
+    # 1 - kappa: kappa = 0 gives psi'_{j+1} = 1 + psi'_j (1 - |delta_j|^2)
+    # / |y|^2 forward, kappa = 1 gives -chi'_j = (1 - chi'_{j+1})
+    # (1 - |delta_j|^2) / |y|^2 backward.
+    e = np.stack([steps[:pairs], -steps[::-1][:pairs]], axis=1)
+    shrink = 1.0 - (e.real**2 + e.imag**2)
+    shape = np.broadcast_shapes(deltas.shape[:-1] + (1,), theta.shape)
+    s = np.stack([np.broadcast_to(zc, shape), np.broadcast_to(z, shape)])
+    x = np.stack([np.broadcast_to(zc, shape), np.broadcast_to(np.conj(target) * z, shape)])
+    kappa = np.array([0.0, 1.0]).reshape((2,) + (1,) * (x.ndim - 1))
+    slope, arg = 1.0 - kappa, np.zeros((2,) + (1,) * (x.ndim - 1))
+    for ej, cj in zip(e, shrink):
+        y = ej * x
+        y += 1.0
+        yr, yi = y.real, y.imag
+        x = x * s * np.conj(y) / y
+        arg = arg + np.arctan2(yi, yr)
+        slope = (slope + kappa) * cj / (yr * yr + yi * yi) + (1.0 - kappa)
+    (fc, h), (dpsi, dchi), arg = x, slope, arg[0] - arg[1]
+    if n % 2 == 0:  # delta_k is left to one more backward step
+        d = steps[pairs]
+        y = 1.0 - d * h
+        yr, yi = y.real, y.imag
+        h = h * z * np.conj(y) / y
+        arg = arg - np.arctan2(yi, yr)
+        dchi = (dchi + 1.0) * (1.0 - (d.real**2 + d.imag**2)) / (yr * yr + yi * yi)
+    r = n * theta - np.angle(target) + 2.0 * arg
+    return np.broadcast_arrays(r, np.angle(np.conj(fc) * h * zc), dpsi + dchi)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 class Tolerances:
     # unit-circle membership for inputs (|z| - 1)
     on_circle: float = 1e-12
-    # UnitPoint internal consistency between theta and z
-    unit_point: float = 1e-14
+    # unit-modulus checks on values made inside the library: |z| - 1 and
+    # |z - e^{i theta}| of a UnitPoint, |tau| - 1 of a QpopucSpec
+    unit_point: float = 1e-13
     # Schur-Cohn refusal band around |s_k(0)| = 1
     disk_boundary_band: float = 1e-12
     # |F_n(z) - target| for accepted Blaschke roots

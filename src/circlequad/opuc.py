@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import blaschke_phase_slope, blaschke_values
+from ._kernels import blaschke_phase_slope, blaschke_values, split_phase
 from .config import TOL
 from .errors import (
     BoundaryDegenerateError,
@@ -40,7 +41,7 @@ def wrap_theta(theta):
     return np.where(theta < TWO_PI, theta, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitPoint:
     """A point e^{i theta} on the unit circle, kept in both forms."""
 
@@ -48,9 +49,9 @@ class UnitPoint:
     z: complex
 
     def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > 1e-14 * 10:
+        if abs(abs(self.z) - 1.0) > TOL.unit_point:
             raise DomainError(f"|z| = {abs(self.z)} is not on the unit circle")
-        if abs(self.z - cmath.exp(1j * self.theta)) > 1e-13:
+        if abs(self.z - cmath.exp(1j * self.theta)) > TOL.unit_point:
             raise InternalConsistencyError("theta and z disagree")
 
     @staticmethod
@@ -64,6 +65,38 @@ class UnitPoint:
             raise DomainError(f"|z| = {abs(z)} is off the unit circle")
         z = z / abs(z)
         return UnitPoint(float(wrap_theta(cmath.phase(z))), z)
+
+
+def points_z(points) -> np.ndarray:
+    """The z values of a sequence of ``UnitPoint`` as an array; a
+    ``UnitPoints`` gives its own, without making an item per point."""
+    if isinstance(points, UnitPoints):
+        return points.z
+    return np.array([p.z for p in points], dtype=complex)
+
+
+class UnitPoints(Sequence):
+    """A read-only sequence of circle points kept as one array of angles;
+    each item is made as a ``UnitPoint`` when it is read, so n points
+    cost 8 bytes each instead of three Python objects."""
+
+    __slots__ = ("theta",)
+
+    def __init__(self, theta):
+        self.theta = theta
+
+    @property
+    def z(self) -> np.ndarray:
+        return np.exp(1j * self.theta)
+
+    def __len__(self) -> int:
+        return len(self.theta)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return UnitPoints(self.theta[i])
+        theta = self.theta[i]
+        return UnitPoint(float(theta), complex(np.exp(1j * theta)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +146,6 @@ class SchurSequence:
             raise InvalidParameterError("all delta_k (k >= 1) must lie in the open unit disk")
         if len(e) != len(d) or np.any(e <= 0):
             raise InvalidParameterError("norms must be positive and match delta in length")
-        object.__setattr__(self, "_rho_cache", {0: np.array([1.0 + 0.0j])})
 
     @property
     def order(self) -> int:
@@ -127,21 +159,14 @@ class SchurSequence:
         return self.delta[1 : n + 1]
 
     def rho_coeffs(self, k: int) -> np.ndarray:
-        """Coefficients of the monic recursion polynomial of degree k.
-
-        Only the degrees asked for are cached, not every rho_0..rho_k; a
-        new degree is recursed from the highest cached one below it.
-        """
+        """Coefficients of the monic recursion polynomial of degree k,
+        recursed from rho_0 on each call (nothing is kept on the chain)."""
         if k > self.order:
             raise InvalidParameterError(f"order {k} beyond available {self.order}")
-        cache = self._rho_cache
-        if k not in cache:
-            j = max(i for i in cache if i < k)
-            rho = cache[j]
-            for d in self.delta[j + 1 : k + 1]:
-                rho = _szego_step(rho, d)
-            cache[k] = rho
-        return cache[k]
+        rho = np.array([1.0 + 0.0j])
+        for d in self.delta[1 : k + 1]:
+            rho = _szego_step(rho, d)
+        return rho
 
     @staticmethod
     def from_params(params, e0: float = 1.0) -> "SchurSequence":
@@ -227,31 +252,75 @@ def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
     return complex(blaschke_values(deltas.params(n - 1), np.array([z]))[0])
 
 
-def _cmv_eigvals(alpha: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the n x n truncated CMV matrix L M of the
-    Verblunsky coefficients alpha_0..alpha_{n-1}, |alpha_{n-1}| = 1,
-    along the last axis of ``alpha`` (leading axes are a batch).
+# Newton steps per root. Bisection alone takes a bracketing grid cell (at
+# most pi/2 wide) down to TOL.bisect_theta in 48 steps; the cap leaves room
+# for the Newton steps that ``_solve_angles`` takes between bisections
+_ROOT_STEPS = 100
 
-    L stacks the 2x2 blocks Theta_k = [[conj a_k, r_k], [r_k, -a_k]],
-    r_k = sqrt(1 - |a_k|^2), for even k and M those for odd k after a
-    leading 1. With r_{n-1} = 0 the last block decouples, so both
-    factors are built one size larger and cut back to n x n.
+
+def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The n solutions of F_n(e^{i theta}) = target per chain, unsorted:
+    ``params`` (rows, n - 1), ``target`` (rows, 1) give angles (rows, n).
+
+    The split phase residual r of ``split_phase`` increases strictly by
+    2 pi n around the circle, and the solutions are its crossings of the
+    n levels 2 pi j in [r(0), r(0) + 2 pi n). One evaluation on a grid of
+    4n cells brackets each level in its own cell. Each root then takes
+    Newton steps on the wrapped residual, with the branch taken from r,
+    starting from the cell end nearer in phase. It bisects its bracket
+    instead when a step would leave the closed bracket, or would go back
+    by more than half the last step (Newton cycling between the ends of a
+    bracket, on a strongly curved phase). Each root stops on its own once
+    its step is below
+    TOL.bisect_theta or lands on a bracket end, so a row's roots never
+    depend on the rest of its batch.
     """
-    batch, n = alpha.shape[:-1], alpha.shape[-1]
-    r = np.concatenate(
-        [np.sqrt(1.0 - np.abs(alpha[..., :-1]) ** 2), np.zeros(batch + (1,))], axis=-1
+    rows, n = params.shape[0], params.shape[1] + 1
+    cells = 4 * n
+    grid = np.arange(cells + 1) * (TWO_PI / cells)
+    r, _, slope = split_phase(params, grid[:-1], target)
+    # r(theta + 2 pi) = r(theta) + 2 pi n exactly, which keeps every level
+    # inside the grid
+    r = np.concatenate([r, r[:, :1] + TWO_PI * n], axis=1)
+    slope = np.concatenate([slope, slope[:, :1]], axis=1)
+    level = TWO_PI * (np.ceil(r[:, :1] / TWO_PI) + np.arange(n))
+    cell = np.array([np.searchsorted(rr, ll, side="right") for rr, ll in zip(r, level)], dtype=int)
+    cell = np.clip(cell.reshape(rows, n) - 1, 0, cells - 1)
+    lo, hi = grid[cell], grid[cell + 1]
+    res_lo = np.take_along_axis(r, cell, axis=1) - level
+    res_hi = np.take_along_axis(r, cell + 1, axis=1) - level
+    near_lo = np.abs(res_lo) <= np.abs(res_hi)
+    theta = np.where(
+        near_lo,
+        lo - res_lo / np.take_along_axis(slope, cell, axis=1),
+        hi - res_hi / np.take_along_axis(slope, cell + 1, axis=1),
     )
-    factors = []
-    for first in (0, 1):
-        b = np.zeros(batch + (n + 1, n + 1), dtype=complex)
-        b[..., 0, 0] = 1.0
-        k = np.arange(first, n, 2)
-        b[..., k, k] = np.conj(alpha[..., k])
-        b[..., k, k + 1] = r[..., k]
-        b[..., k + 1, k] = r[..., k]
-        b[..., k + 1, k + 1] = -alpha[..., k]
-        factors.append(b[..., :n, :n])
-    return np.linalg.eigvals(factors[0] @ factors[1])
+    theta = np.where((theta >= lo) & (theta <= hi), theta, 0.5 * (lo + hi))
+
+    last = (theta - np.where(near_lo, lo, hi)).ravel()
+    theta, lo, hi, level = (a.ravel() for a in (theta, lo, hi, level))
+    row = np.repeat(np.arange(rows), n)
+    active = np.arange(rows * n)
+    for _ in range(_ROOT_STEPS):
+        th = theta[active]
+        r, wrapped, slope = split_phase(params[row[active]], th[:, None], target[row[active]])
+        r, wrapped, slope = r[:, 0], wrapped[:, 0], slope[:, 0]
+        res = wrapped + TWO_PI * np.round((r - level[active] - wrapped) / TWO_PI)
+        a = lo[active] = np.where(res < 0.0, th, lo[active])
+        b = hi[active] = np.where(res > 0.0, th, hi[active])
+        step = -res / slope
+        # a step back by more than half the last one is Newton cycling
+        cycling = (step * last[active] < 0.0) & (np.abs(step) > 0.5 * np.abs(last[active]))
+        newton = (th + step >= a) & (th + step <= b) & ~cycling
+        new = np.where(newton, th + step, 0.5 * (a + b))
+        theta[active], last[active] = new, new - th
+        # a step back onto a bracket end repeats an evaluation: the
+        # bracket holds no float closer to the root
+        done = (np.abs(new - th) < TOL.bisect_theta) | (new == a) | (new == b)
+        active = active[~done]
+        if not len(active):
+            break
+    return theta.reshape(rows, n)
 
 
 class CircleRoots(NamedTuple):
@@ -267,33 +336,18 @@ def circle_roots(params, target) -> CircleRoots:
     """Batch kernel of ``blaschke_solve``: ``params`` is delta_1..delta_{n-1}
     along the last axis and ``target`` one unimodular value per chain.
 
-    The nodes are the CMV eigenvalues, polished by Newton steps on
-    arg(F_n conj(target)); a chain stops stepping once all its steps are
-    below TOL.bisect_theta, so each row gets the steps it would get alone.
+    The nodes come from a bracketed Newton solve on the split phase of
+    F_n (``_solve_angles``), O(n) work per root; the residual and gap
+    certificates are then taken from the Szego recursion, independently
+    of that solve.
     """
     params = np.asarray(params, dtype=complex)
     target = np.asarray(target, dtype=complex)
-    alpha = np.concatenate(
-        [-np.conj(params), (np.conj(target) / np.abs(target))[..., None]], axis=-1
-    )
-    theta = np.sort(wrap_theta(np.angle(_cmv_eigvals(alpha))), axis=-1)
-    batch, n = theta.shape[:-1], theta.shape[-1]
+    batch, n = params.shape[:-1], params.shape[-1] + 1
     rows = int(np.prod(batch))
-    theta = theta.reshape(rows, n)
     params = params.reshape(rows, n - 1)
     target = target.reshape(rows, 1)
-
-    active = np.arange(rows)
-    for _ in range(8):
-        th = theta[active]
-        f, slope = blaschke_phase_slope(params[active], np.exp(1j * th))
-        step = np.angle(f * np.conj(target[active])) / slope
-        gaps = np.diff(np.concatenate([th, th[:, :1] + TWO_PI], axis=1), axis=1)
-        step = np.clip(step, -0.5 * gaps, 0.5 * np.roll(gaps, 1, axis=1))
-        theta[active] = th - step
-        active = active[~(np.max(np.abs(step), axis=1) < TOL.bisect_theta)]
-        if not len(active):
-            break
+    theta = _solve_angles(params, target)
 
     theta = np.sort(wrap_theta(theta), axis=1)
     f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
@@ -311,17 +365,16 @@ def circle_roots(params, target) -> CircleRoots:
     )
 
 
-def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> list[UnitPoint]:
+def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints:
     """All n solutions of F_n(z) = target on the unit circle.
 
     The solutions are the zeros of the paraorthogonal polynomial
-    z rho_{n-1} - target rho*_{n-1}, hence the eigenvalues of the
-    unitary truncated CMV matrix with alpha_k = -conj(delta_{k+1}) and
-    alpha_{n-1} = conj(target) (Cantero-Moral-Velazquez). Newton steps
-    on arg(F_n conj(target)) then polish each angle, each step clamped
-    to half the gap to the neighboring root. Every root is accepted
-    only after a residual check scaled by the phase slope, and the set
-    only when no two roots nearly coincide (``circle_roots``).
+    z rho_{n-1} - target rho*_{n-1}. The argument of F_n rises strictly,
+    by 2 pi n, around the circle, so each solution is bracketed on its
+    own and solved by Newton steps on the split phase of ``split_phase``
+    (a Pruefer-type phase). Every root is accepted only after a residual
+    check scaled by the phase slope, and the set only when no two roots
+    nearly coincide (``circle_roots``).
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
@@ -332,8 +385,7 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> list[UnitP
         )
     if not roots.gap_ok:
         raise InternalConsistencyError("near-duplicate Blaschke roots detected")
-    z = np.exp(1j * roots.theta)
-    return [UnitPoint(float(t), complex(w)) for t, w in zip(roots.theta, z)]
+    return UnitPoints(roots.theta)
 
 
 @dataclass

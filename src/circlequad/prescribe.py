@@ -527,7 +527,7 @@ def classical_arc(
     rho = ComplexPoly(hat_deltas.rho_coeffs(m - 1))
     p_inner = rho.shift(1) + tau_hat * rho.reciprocal(m - 1)
     nodal = from_zeros([arc.a.z, arc.b.z]) * p_inner
-    nodes = [arc.a, arc.b] + interior
+    nodes = [arc.a, arc.b, *interior]
     for pt in interior:
         if not arc.contains(pt.z, closed=True, tol=1e-10):
             return PrescriptionResult(

@@ -26,7 +26,7 @@ from .errors import (
     InvarianceError,
     NotRepresentableError,
 )
-from .opuc import SchurSequence, UnitPoint, blaschke_solve, circle_roots, schur_cohn
+from .opuc import SchurSequence, UnitPoints, blaschke_solve, circle_roots, schur_cohn
 from .poly import ComplexPoly, horner
 
 
@@ -46,7 +46,7 @@ class QpopucSpec:
             raise InvalidParameterError(
                 f"P must be monic of degree {self.ell}, got degree {self.P.degree}"
             )
-        if abs(abs(self.tau) - 1.0) > 1e-14 * 10:
+        if abs(abs(self.tau) - 1.0) > TOL.unit_point:
             raise InvalidParameterError(f"|tau| = {abs(self.tau)} must equal 1")
 
 
@@ -194,6 +194,11 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
     Q = z rho~_{n-1} + tau rho~*_{n-1} for the modified chain rho~.
     The identity is spot-checked at 32 circle points.
     """
+    return _modified_chain(spec, deltas, assemble(spec, deltas))
+
+
+def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> SchurSequence:
+    """``modified_schur`` with Q = ``assemble(spec, deltas)`` given."""
     kappas = np.zeros((1, 0), dtype=complex)
     if spec.ell > 0:
         sc = schur_cohn(spec.P)
@@ -207,7 +212,7 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
     tau = [spec.tau]
     combined = modified_params(deltas, spec.n, kappas, tau)
     modified = SchurSequence.from_params(combined[0], e0=float(deltas.norms[0]))
-    ok, dev = representation_rows(assemble(spec, deltas).coeffs[None], combined, tau)
+    ok, dev = representation_rows(q.coeffs[None], combined, tau)
     if not ok[0]:
         raise InternalConsistencyError(
             f"modified-chain representation deviates by {dev[0]:.3e}"
@@ -215,20 +220,18 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
     return modified
 
 
-def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> list[UnitPoint]:
+def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> UnitPoints:
     """All n zeros of Q on the unit circle via the modified chain.
 
     With Q = z rho~_{n-1} + tau rho~*_{n-1}, Q is paraorthogonal for the
     modified chain, and its zeros are the solutions of the Blaschke
-    equation F~_n(z) = -tau: ``blaschke_solve`` takes them as CMV
-    eigenvalues and certifies each one. The nodal residual |Q(z)| is
-    then checked against the directly assembled Q.
+    equation F~_n(z) = -tau: ``blaschke_solve`` brackets each one on the
+    phase of F~_n, solves it by Newton steps and certifies it. The nodal
+    residual |Q(z)| is then checked against the directly assembled Q.
     """
-    modified = modified_schur(spec, deltas)
-    pts = blaschke_solve(modified, spec.n, -spec.tau)
     q = assemble(spec, deltas)
-    z = np.array([p.z for p in pts])
-    ok, resid, _ = residual_rows(q.coeffs[None], z, TOL.node_residual)
+    pts = blaschke_solve(_modified_chain(spec, deltas, q), spec.n, -spec.tau)
+    ok, resid, _ = residual_rows(q.coeffs[None], pts.z, TOL.node_residual)
     if not ok[0]:
         raise InternalConsistencyError(
             f"zero residual {resid[0]:.3e} exceeds tolerance"

@@ -32,6 +32,7 @@ from .opuc import (
     MomentSequence,
     SchurSequence,
     UnitPoint,
+    points_z,
     schur_cohn_rows,
     schur_from_moments,
 )
@@ -70,7 +71,7 @@ class QuadRule:
     tau: complex | None = None
 
     def apply(self, f) -> complex:
-        z = np.array([p.z for p in self.nodes])
+        z = points_z(self.nodes)
         return complex(np.sum(self.weights * f(z)))
 
 
@@ -81,24 +82,42 @@ class TauScan:
     arcs: list  # of (theta_start, theta_end) green arcs, refined
 
 
+def _power_table(z, order: int) -> np.ndarray:
+    """z**k for k = 0..order along a new second-to-last axis, by a running
+    product of the unimodular nodes z (..., n)."""
+    table = np.empty(z.shape[:-1] + (order + 1, z.shape[-1]), dtype=complex)
+    table[..., 0, :] = 1.0
+    np.cumprod(
+        np.broadcast_to(z[..., None, :], table[..., 1:, :].shape), axis=-2, out=table[..., 1:, :]
+    )
+    return table
+
+
 def weights_rows(z, mu_arr, mu0: float):
     """Batch kernel of ``weights``: nodes z (batch, n) and the moments
     mu_{-m}..mu_m give the weights (batch, n) by stacked least squares
     on the real/imaginary system, and per row whether the moment
     residual stays within TOL.weight_residual * mu_0.
 
+    For unimodular nodes and real weights the equations for z**-k are
+    the conjugates of those for z**k, so the system keeps the real rows
+    of k = 0..m and the imaginary rows of k = 1..m, those of k >= 1
+    scaled by sqrt(2): the same least-squares problem at half the size.
     The triangular factor of [A | b] holds R and Q^T b of A = QR, so Q
     is never formed.
     """
     z = np.asarray(z, dtype=complex)
     rows, n = z.shape
-    k = len(mu_arr)
-    m = (k - 1) // 2
-    powers = z[:, None, :] ** np.arange(-m, m + 1)[:, None]
-    aug = np.empty((rows, 2 * k, n + 1))
-    aug[:, :k, :n], aug[:, k:, :n] = powers.real, powers.imag
-    aug[:, :k, n], aug[:, k:, n] = mu_arr.real, mu_arr.imag
-    del powers  # [A | b] also gives the residual; keep one copy of A
+    m = (len(mu_arr) - 1) // 2
+    scale = np.full(m + 1, math.sqrt(2.0))
+    scale[0] = 1.0
+    pos = _power_table(z, m)
+    pos *= scale[:, None]
+    mu_pos = mu_arr[m:] * scale
+    aug = np.empty((rows, 2 * m + 1, n + 1))
+    aug[:, : m + 1, :n], aug[:, m + 1 :, :n] = pos.real, pos.imag[:, 1:]
+    aug[:, : m + 1, n], aug[:, m + 1 :, n] = mu_pos.real, mu_pos.imag[1:]
+    del pos  # [A | b] also gives the residual; keep one copy of A
     r = np.linalg.qr(aug, mode="r")
     # back substitution; a zero pivot leaves NaN weights, which fail the
     # residual check below
@@ -107,7 +126,9 @@ def weights_rows(z, mu_arr, mu0: float):
         for i in range(n - 1, -1, -1):
             lam[:, i] = (r[:, i, n] - np.sum(r[:, i, i + 1 : n] * lam[:, i + 1 :], axis=1)) / r[:, i, i]
     fit = np.matmul(aug[:, :, :n], lam[:, :, None])[:, :, 0] - aug[:, :, n]
-    resid = np.max(np.abs(fit[:, :k] + 1j * fit[:, k:]), axis=1)
+    # |sum lam z**k - mu_k| for k = 0..m; the k = 0 imaginary part is -Im mu_0
+    fit_im = np.concatenate([np.full((rows, 1), -mu_pos.imag[0]), fit[:, m + 1 :]], axis=1)
+    resid = np.max(np.abs(fit[:, : m + 1] + 1j * fit_im) / scale, axis=1)
     return lam, resid <= TOL.weight_residual * mu0, resid
 
 
@@ -133,7 +154,7 @@ def weights(nodes, mu: MomentSequence, m: int) -> np.ndarray:
         raise InvalidParameterError(f"2m + 1 = {2 * m + 1} rows cannot pin {n} weights")
     if mu.order < m:
         raise InvalidParameterError(f"need moments to order {m}, have {mu.order}")
-    z = np.array([[p.z for p in nodes]], dtype=complex)
+    z = points_z(nodes)[None]
     mu0 = float(mu.get(0).real)
     lam, ok, resid = weights_rows(z, mu.array(-m, m), mu0)
     if not ok[0]:
@@ -204,31 +225,28 @@ def verify_exactness(rule: QuadRule, mu: MomentSequence) -> dict:
     m = rule.m
     if mu.order < m + 1:
         raise InvalidParameterError(f"need moments to order {m + 1}, have {mu.order}")
-    z = np.array([p.z for p in rule.nodes])
+    z = points_z(rule.nodes)
     lam = rule.weights
     mu0 = float(mu.get(0).real)
     tol = TOL.weight_residual * mu0
-    residuals = {}
-    ok = True
-    for k in range(m + 1):
-        r = abs(np.sum(lam * z**k) - mu.get(k))
-        residuals[k] = float(r)
-        ok = ok and r <= tol
+    # sums[k] = sum of lam * z**k for k = 0..mu.order; for real weights
+    # the sum over z**-k is its conjugate
+    sums = _power_table(z, mu.order) @ lam
+    resid = np.abs(sums - mu.mu)
+    residuals = {k: float(r) for k, r in enumerate(resid[: m + 1])}
+    ok = bool(np.all(resid[: m + 1] <= tol))
     report = {"residuals": residuals, "tolerance": tol}
     if rule.omega is not None:
-        pair = np.sum(lam * (z ** (m + 1) - rule.omega * z ** (-(m + 1))))
+        pair = sums[m + 1] - rule.omega * np.conj(sums[m + 1])
         target = mu.get(m + 1) - rule.omega * mu.get(-(m + 1))
         r_omega = float(abs(pair - target))
         residuals["omega_pair"] = r_omega
         ok = ok and r_omega <= tol
-    bare = float(abs(np.sum(lam * z ** (m + 1)) - mu.get(m + 1)))
+    bare = float(resid[m + 1])
     report["bare_next_power"] = bare
     report["sharp"] = bare > tol
-    first_fail = None
-    for k in range(m + 1, mu.order + 1):
-        if abs(np.sum(lam * z**k) - mu.get(k)) > tol:
-            first_fail = k
-            break
+    failing = np.nonzero(resid[m + 1 :] > tol)[0]
+    first_fail = int(failing[0]) + m + 1 if len(failing) else None
     report["first_failing_power"] = first_fail
     report["passes"] = bool(ok)
     return report

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circlequad import (
     ComplexPoly,
     MomentSequence,
     SchurSequence,
     UnitPoint,
+    UnitPoints,
     blaschke_eval,
     blaschke_solve,
     inner_product,
@@ -29,6 +32,39 @@ from circlequad.measures import MeasureSpec, moments
 from circlequad.opuc import TWO_PI, random_unit_points, wrap_theta
 
 from conftest import chain
+
+
+def cmv_eigenvalues(alpha):
+    """Eigenvalues of the n x n truncated CMV matrix L M of the
+    Verblunsky coefficients alpha_0..alpha_{n-1}, |alpha_{n-1}| = 1.
+
+    L stacks the 2x2 blocks [[conj a_k, r_k], [r_k, -a_k]],
+    r_k = sqrt(1 - |a_k|^2), for even k and M those for odd k after a
+    leading 1; with r_{n-1} = 0 the last block decouples, so both
+    factors are built one size larger and cut back to n x n.
+    """
+    n = len(alpha)
+    r = np.append(np.sqrt(1.0 - np.abs(alpha[:-1]) ** 2), 0.0)
+    factors = []
+    for first in (0, 1):
+        b = np.zeros((n + 1, n + 1), dtype=complex)
+        b[0, 0] = 1.0
+        k = np.arange(first, n, 2)
+        b[k, k], b[k, k + 1] = np.conj(alpha[k]), r[k]
+        b[k + 1, k], b[k + 1, k + 1] = r[k], -alpha[k]
+        factors.append(b[:n, :n])
+    return np.linalg.eigvals(factors[0] @ factors[1])
+
+
+def forward_phase(d, theta):
+    """Unwrapped arg F_n(e^{i theta}) by the forward recursion alone:
+    each step adds theta + 2 Arg(1 + delta_j conj F_j)."""
+    z = np.exp(1j * theta)
+    f, psi = z, theta.copy()
+    for dj in d:
+        psi += theta + 2.0 * np.angle(1.0 + dj * np.conj(f))
+        f = z * (f + dj) / (1.0 + np.conj(dj) * f)
+    return psi
 
 
 def discrete_measure_moments(rng, nodes=12, order=6):
@@ -58,6 +94,17 @@ class TestUnitPoint:
         assert wrap_theta(np.array([-1e-17, TWO_PI, -0.5])).tolist() == [
             0.0, 0.0, TWO_PI - 0.5
         ]
+
+
+    def test_unit_points_sequence(self):
+        # the solver's compact node sequence reads like a list of UnitPoint
+        theta = np.array([0.0, 1.25, 4.5])
+        pts = UnitPoints(theta)
+        assert len(pts) == 3 and [p.theta for p in pts] == theta.tolist()
+        assert isinstance(pts[-1], UnitPoint) and pts[-1].theta == 4.5
+        assert abs(pts[1].z - cmath.exp(1.25j)) < 1e-15
+        assert np.array_equal(pts.z, [p.z for p in pts])
+        assert [p.theta for p in pts[1:]] == [1.25, 4.5]
 
 
 class TestMomentSequence:
@@ -98,7 +145,7 @@ class TestSchurSequence:
             rho_star = rho.reciprocal(k - 1)
             rho = rho.shift(1) + complex(d[k - 1]) * rho_star
             assert np.allclose(s.rho_coeffs(k), rho.coeffs)
-        # degrees asked out of order recurse from the nearest cached one
+        # degrees asked out of order, on a fresh chain
         fresh = SchurSequence.from_params(d)
         polys = szego_from_schur(s, 5)
         for k in (4, 2, 5, 3):
@@ -180,35 +227,88 @@ class TestBlaschke:
         assert np.max(np.abs(thetas - expected)) < 1e-12
 
     def test_solve_matches_companion_roots(self, rng):
-        # oracle: zeros of the paraorthogonal z rho_{n-1} - t rho*_{n-1}
-        for _ in range(40):
-            n = int(rng.integers(1, 25))
-            d = 0.95 * rng.uniform(0.0, 1.0, size=n - 1) * np.exp(
-                1j * rng.uniform(0, TWO_PI, size=n - 1)
-            )
-            s = SchurSequence.from_params(d)
-            target = cmath.exp(1j * rng.uniform(0, TWO_PI))
-            rho = ComplexPoly(s.rho_coeffs(n - 1))
-            q = rho.shift(1) - target * rho.reciprocal(n - 1)
-            roots = np.roots(q.coeffs[::-1])
-            expected = np.sort(wrap_theta(np.angle(roots)))
-            thetas = np.array([p.theta for p in blaschke_solve(s, n, target)])
-            # wrap-aware distance, for a root within rounding of theta = 0
-            diff = np.angle(np.exp(1j * (thetas - expected)))
-            assert np.max(np.abs(diff)) < 1e-10
+        # oracle: zeros of the paraorthogonal z rho_{n-1} - t rho*_{n-1};
+        # a last parameter near the circle is the tau scan's steep case
+        for last in (None, 0.999, 0.99999):
+            for _ in range(40):
+                n = int(rng.integers(1 if last is None else 2, 25))
+                d = 0.95 * rng.uniform(0.0, 1.0, size=n - 1) * np.exp(
+                    1j * rng.uniform(0, TWO_PI, size=n - 1)
+                )
+                if last is not None:
+                    d[-1] = last * np.exp(1j * rng.uniform(0, TWO_PI))
+                s = SchurSequence.from_params(d)
+                target = cmath.exp(1j * rng.uniform(0, TWO_PI))
+                rho = ComplexPoly(s.rho_coeffs(n - 1))
+                q = rho.shift(1) - target * rho.reciprocal(n - 1)
+                roots = np.roots(q.coeffs[::-1])
+                expected = np.sort(wrap_theta(np.angle(roots)))
+                thetas = np.array([p.theta for p in blaschke_solve(s, n, target)])
+                # wrap-aware distance, for a root within rounding of theta = 0
+                diff = np.angle(np.exp(1j * (thetas - expected)))
+                assert np.max(np.abs(diff)) < 1e-10
 
-    def test_certificate_catches_bad_eigenvalue(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # Rogers-Szego q = 0.5: delta_k = (-1)**k q**(k/2)
+            (-1.0) ** np.arange(1, 256) * 0.5 ** (np.arange(1, 256) / 2),
+            # constant modulus at the Geronimus limit sin(gap/4) of the
+            # arc (0.3, 2.4)
+            np.full(255, 0.8645),
+        ],
+        ids=["rogers-szego", "geronimus"],
+    )
+    def test_solve_matches_cmv_eigenvalues(self, params):
+        # oracle: the eigenvalues of the unitary truncated CMV matrix of
+        # alpha_k = -conj(delta_{k+1}), alpha_{n-1} = conj(target)
+        n, target = len(params) + 1, cmath.exp(0.3j)
+        thetas = np.array([p.theta for p in blaschke_solve(SchurSequence.from_params(params), n, target)])
+        expected = np.sort(wrap_theta(np.angle(cmv_eigenvalues(
+            np.concatenate([-np.conj(params), [np.conj(target)]])
+        ))))
+        assert np.max(np.abs(np.angle(np.exp(1j * (thetas - expected))))) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        moduli=st.lists(st.floats(0.0, 0.8), min_size=23, max_size=23),
+        phases=st.lists(st.floats(0.0, TWO_PI), min_size=23, max_size=23),
+        last=st.sampled_from([None, 0.999, 0.99999]),
+        angle=st.one_of(st.none(), st.floats(0.0, TWO_PI)),
+    )
+    def test_solve_one_root_per_phase_level(self, n, moduli, phases, last, angle):
+        # the unwrapped phase psi_n of F_n rises by 2 pi n around the
+        # circle, so each of the n levels arg(target) + 2 pi j is met once;
+        # angle None puts a root at theta = 0, which must come back once,
+        # near 0 or near 2 pi
+        moduli = np.array(moduli[: n - 1])
+        if last is not None and n > 1:
+            moduli[-1] = last
+        d = moduli * np.exp(1j * np.array(phases[: n - 1]))
+        s = SchurSequence.from_params(d)
+        target = blaschke_eval(s, n, 1.0) if angle is None else cmath.exp(1j * angle)
+        thetas = np.array([p.theta for p in blaschke_solve(s, n, target)])
+        assert len(thetas) == n
+        assert np.all(np.diff(thetas) > 0.0) and 0.0 <= thetas[0] and thetas[-1] < TWO_PI
+        if angle is None:
+            assert np.sum(np.minimum(thetas, TWO_PI - thetas) < 1e-12) == 1
+        levels = (forward_phase(d, thetas) - cmath.phase(target)) / TWO_PI
+        assert np.max(np.abs(levels - np.round(levels))) < 0.1
+        assert np.array_equal(np.diff(np.round(levels)), np.ones(n - 1))
+
+    def test_certificate_catches_duplicate_root(self, monkeypatch):
         s = SchurSequence.from_params(0.5 * np.exp(1j * np.arange(1, 12)))
         blaschke_solve(s, 12, 1j)  # the unperturbed solve is accepted
-        true_eigvals = opuc._cmv_eigvals
+        true_solve = opuc._solve_angles
 
-        def perturbed(alpha):
-            ev = true_eigvals(alpha)
-            ev[0] = ev[1]  # one root lost, its neighbor found twice
-            return ev
+        def perturbed(params, target):
+            theta = true_solve(params, target)
+            theta[:, 0] = theta[:, 1]  # one root lost, its neighbor found twice
+            return theta
 
-        monkeypatch.setattr(opuc, "_cmv_eigvals", perturbed)
-        with pytest.raises(InternalConsistencyError):
+        monkeypatch.setattr(opuc, "_solve_angles", perturbed)
+        with pytest.raises(InternalConsistencyError, match="near-duplicate"):
             blaschke_solve(s, 12, 1j)
 
     def test_solve_rejects_off_circle_target(self):
