@@ -3,7 +3,7 @@
 from ._kernels import using_numba
 from .config import TOL, Tolerances
 from .errors import CircleQuadError
-from .measures import ArcSpec, MeasureSpec, modified_hat_moments, moments
+from .measures import ArcSpec, MeasureSpec, modified_hat_moments, moment_chain, moments
 from .opuc import (
     MomentSequence,
     SchurSequence,
@@ -63,6 +63,7 @@ __all__ = [
     "ArcSpec",
     "MeasureSpec",
     "moments",
+    "moment_chain",
     "modified_hat_moments",
     "schur_from_moments",
     "szego_from_schur",

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CircleQuadError, InvalidParameterError
-from .measures import moments, parse_measure_flag
-from .opuc import UnitPoint, schur_from_moments
+from .measures import moment_chain, moments, parse_measure_flag
+from .opuc import UnitPoint
 from .poly import ONE
 from .prescribe import (
     prescribe_2l,
@@ -140,10 +140,7 @@ def _jsonable(v):
 
 def cmd_rule(args) -> int:
     measure = parse_measure_flag(args.measure)
-    m_half = args.n - args.ell - 1
-    need = max(2 * m_half + 2, args.n - args.ell)
-    mu = moments(measure, need)
-    deltas = schur_from_moments(mu, args.n - args.ell)
+    mu, deltas = moment_chain(measure, args.n, args.ell)
     spec, diag = _prescription(args, mu, deltas)
     rule = build_rule(measure, spec, mu=mu, deltas=deltas)
     report = verify_exactness(rule, mu)
@@ -163,9 +160,7 @@ def cmd_rule(args) -> int:
 
 def cmd_zeros(args) -> int:
     measure = parse_measure_flag(args.measure)
-    need = max(2 * (args.n - args.ell - 1) + 2, args.n - args.ell)
-    mu = moments(measure, need)
-    deltas = schur_from_moments(mu, args.n - args.ell)
+    mu, deltas = moment_chain(measure, args.n, args.ell)
     spec, diag = _prescription(args, mu, deltas)
     pts = zeros_on_circle(spec, deltas)
     payload = {
@@ -224,9 +219,7 @@ def cmd_verify(args) -> int:
 def cmd_tau_for_omega(args) -> int:
     measure = parse_measure_flag(args.measure)
     nodes = [UnitPoint.from_theta(parse_angle(t)) for t in args.prescribe or []]
-    need = max(2 * (args.n - args.ell - 1) + 2, args.n - args.ell)
-    mu = moments(measure, need)
-    deltas = schur_from_moments(mu, args.n - args.ell)
+    _, deltas = moment_chain(measure, args.n, args.ell)
     omega = parse_unimodular(args.omega)
     taus, degenerate = tau_for_omega(deltas, args.n, args.ell, nodes, omega)
     payload = {

@@ -22,7 +22,7 @@ from .errors import (
     InvalidParameterError,
     NotPositiveDefiniteError,
 )
-from .opuc import TWO_PI, MomentSequence, UnitPoint
+from .opuc import TWO_PI, MomentSequence, SchurSequence, UnitPoint, schur_from_moments
 
 
 @dataclass(frozen=True)
@@ -148,6 +148,13 @@ def moments(spec: MeasureSpec, order: int) -> MomentSequence:
             mu[1:] = (np.exp(1j * k * tb) - np.exp(1j * k * ta)) / (1j * k * (tb - ta))
         return MomentSequence(mu)
     return load_moments(spec.path, max_order=order)
+
+
+def moment_chain(spec: MeasureSpec, n: int, ell: int) -> tuple[MomentSequence, SchurSequence]:
+    """(mu_0..mu_N, delta_1..delta_{n-ell}) for an (n, ell) rule, with
+    N = max(2m + 2, n - ell) and m = n - ell - 1."""
+    mu = moments(spec, max(2 * (n - ell - 1) + 2, n - ell))
+    return mu, schur_from_moments(mu, n - ell)
 
 
 def modified_hat_moments(

@@ -431,10 +431,8 @@ def schur_cohn(p: ComplexPoly) -> SchurCohnResult:
     iff every s_k(0) lies strictly inside the unit disk. Values within
     the boundary band are refused rather than classified.
     """
-    if not p.is_monic(tol=0.0):
-        # allow tiny drift from arithmetic, refuse anything larger
-        if abs(p.coeffs[-1] - 1.0) > 1e-12:
-            raise InvalidParameterError("Schur-Cohn input must be monic")
+    if not p.is_monic(tol=TOL.monic):
+        raise InvalidParameterError("Schur-Cohn input must be monic")
     kappas, stable, band = schur_cohn_rows(p.coeffs[None])
     kappas = kappas[0]
     if band[0]:

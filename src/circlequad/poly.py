@@ -106,17 +106,6 @@ def horner(coeffs, z):
     return out
 
 
-def companion_roots(coeffs) -> np.ndarray:
-    """Zeros of a batch of monic polynomials, (batch, d + 1) low-to-high,
-    as eigenvalues of the companion matrices ``np.roots`` builds."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    d = coeffs.shape[1] - 1
-    comp = np.zeros((len(coeffs), d, d), dtype=complex)
-    comp[:, 0, :] = -coeffs[:, d - 1 :: -1] / coeffs[:, d : d + 1]
-    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
-    return np.linalg.eigvals(comp)
-
-
 def from_zeros(zeros) -> ComplexPoly:
     """Monic polynomial with the given zeros."""
     p = np.array([1.0 + 0.0j])

@@ -195,10 +195,10 @@ def three_nodes(
     if len(alphas) != 3:
         raise InvalidParameterError("three_nodes takes exactly 3 points")
     az = [p.z for p in alphas]
-    if min(abs(az[0] - az[1]), abs(az[0] - az[2]), abs(az[1] - az[2])) < 1e-12:
+    if min(abs(az[0] - az[1]), abs(az[0] - az[2]), abs(az[1] - az[2])) < TOL.node_distinct:
         raise InvalidParameterError("prescribed nodes must be distinct")
     f = _f_values(deltas, n, 1, alphas)
-    if min(abs(f[0] - f[1]), abs(f[0] - f[2]), abs(f[1] - f[2])) < 1e-12:
+    if min(abs(f[0] - f[1]), abs(f[0] - f[2]), abs(f[1] - f[2])) < TOL.blaschke_distinct:
         raise NoSolutionError("Blaschke values at the nodes are not distinct")
     a, b, c, d = _mobius_through(az, [-fi for fi in f])
     if abs(a) < 1e-13 or abs(d) < 1e-13:
@@ -291,7 +291,7 @@ class TauPencil:
         """The tau-free refusals of ``prescribe_2l``: coinciding Blaschke
         values for two nodes, an ill-conditioned system for more."""
         if self.ell == 1:
-            if abs(self.f[0] - self.f[1]) < 1e-12:
+            if abs(self.f[0] - self.f[1]) < TOL.blaschke_distinct:
                 raise NoSolutionError(
                     "Blaschke values at the two nodes coincide; eta would be "
                     "forced onto the unit circle"
@@ -331,7 +331,7 @@ class TauPencil:
             return self.coefficients(tau), np.ones(len(tau), dtype=bool)
         a1, a2 = self.nodes
         p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
-        return p, np.abs(tau - self.tau_required) <= 1e-9
+        return p, np.abs(tau - self.tau_required) <= TOL.lobatto_tau
 
 
 def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
@@ -347,7 +347,7 @@ def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     if 2 * ell + 1 > n:
         raise InvalidParameterError("need 2*ell + 1 <= n")
     az = np.array([p.z for p in alphas], dtype=complex)
-    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(2 * ell)) < 1e-12:
+    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(2 * ell)) < TOL.node_distinct:
         raise InvalidParameterError("prescribed nodes must be distinct")
     f = _f_values(deltas, n, ell, alphas)
     v = _vandermonde(az, ell)
@@ -435,7 +435,7 @@ def prescribe_2lp1(
         return out
     az = np.array([p.z for p in alphas])
     m_tot = 2 * ell + 1
-    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(m_tot)) < 1e-12:
+    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(m_tot)) < TOL.node_distinct:
         raise InvalidParameterError("prescribed nodes must be distinct")
     f = _f_values(deltas, n, ell, alphas)
 

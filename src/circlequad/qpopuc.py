@@ -42,7 +42,7 @@ class QpopucSpec:
             raise InvalidParameterError(
                 f"need 0 <= ell and 2*ell + 1 <= n, got ell={self.ell}, n={self.n}"
             )
-        if self.P.degree != self.ell or not self.P.is_monic(tol=1e-12):
+        if self.P.degree != self.ell or not self.P.is_monic(tol=TOL.monic):
             raise InvalidParameterError(
                 f"P must be monic of degree {self.ell}, got degree {self.P.degree}"
             )
@@ -144,7 +144,7 @@ def assemble(spec: QpopucSpec, deltas: SchurSequence) -> ComplexPoly:
 
 def invariance_parameter(q: ComplexPoly) -> complex:
     """Q(0) for a monic invariant Q; rejects non-invariant input."""
-    if not q.is_monic(tol=1e-12):
+    if not q.is_monic(tol=TOL.monic):
         raise InvalidParameterError("invariance parameter requires a monic polynomial")
     tau = complex(q.coeffs[0])
     if abs(abs(tau) - 1.0) > 1e-11:

@@ -26,7 +26,7 @@ from .errors import (
     NotRepresentableError,
     PositivityViolationError,
 )
-from .measures import MeasureSpec, moments
+from .measures import MeasureSpec, moment_chain
 from .opuc import (
     TWO_PI,
     MomentSequence,
@@ -34,9 +34,8 @@ from .opuc import (
     UnitPoint,
     points_z,
     schur_cohn_rows,
-    schur_from_moments,
 )
-from .poly import ONE, companion_roots
+from .poly import ONE
 from .prescribe import prescribe_2l, tau_pencil
 from .qpopuc import (
     QpopucSpec,
@@ -174,15 +173,12 @@ def build_rule(
 ) -> QuadRule:
     """Full positive rule for an admissible spec.
 
-    Precomputed moments/reflection coefficients may be passed to avoid
-    recomputation in scans.
+    The moments and reflection coefficients of ``moment_chain`` may be
+    passed, together, to avoid recomputing them for every rule.
     """
     m = spec.n - spec.ell - 1
-    need = max(2 * m + 2, spec.n - spec.ell)
-    if mu is None:
-        mu = moments(measure, need)
-    if deltas is None:
-        deltas = schur_from_moments(mu, spec.n - spec.ell)
+    if mu is None or deltas is None:
+        mu, deltas = moment_chain(measure, spec.n, spec.ell)
     nodes = zeros_on_circle(spec, deltas)
     lam = weights(nodes, mu, m)
     params = orthogonality_params(spec, deltas)
@@ -282,26 +278,32 @@ def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
         q = assemble(res_spec, deltas)
     except CircleQuadError:
         return RED_BOUNDARY
-    m = n - ell - 1
-    return _LABELS[_root_codes(q.coeffs[None], mu.array(-m, m), float(mu.get(0).real))[0]]
+    return _LABELS[_root_codes(q.coeffs[None])[0]]
 
 
-def _root_codes(q, mu_arr, mu0: float) -> np.ndarray:
-    """Label codes for rows whose P failed Schur-Cohn: peek at the zeros of Q
-    through the companion matrix (diagnostic only) to tell off-circle
-    pairs apart from simple circle nodes with some nonpositive weight."""
-    roots = companion_roots(q)
-    mod = np.abs(roots)
-    on_circle = np.max(np.abs(mod - 1.0), axis=1) <= TOL.scan_on_circle
-    gaps = np.abs(roots[:, :, None] - roots[:, None, :]) + np.eye(roots.shape[1])
-    simple = np.min(gaps, axis=(1, 2)) >= TOL.scan_root_gap
-    lam, resid_ok, _ = weights_rows(roots / mod, mu_arr, mu0)
-    positive, _ = weight_checks(lam, mu0)
-    return np.select(
-        [~on_circle, ~simple, ~resid_ok, ~positive],
-        [_SCHUR, _BOUNDARY, _SCHUR, _WEIGHTS],
-        _GREEN,
-    )
+def _root_codes(q) -> np.ndarray:
+    """Label codes for rows of Q (batch, n + 1) whose P failed Schur-Cohn:
+    Cohn's test on rho~ = Q'/n.
+
+    Every tau-invariant monic Q is z rho~ + tau rho~*, since
+    tau (Q')* = n Q - z Q'. By Cohn's theorem (1922) Q's zeros are simple
+    and on the circle iff rho~ is Schur-stable: stable gives
+    simple-nodes-nonpositive-weights, unstable inadmissible-schur, and a
+    band hit (a zero of rho~, so a double zero of Q, on the circle)
+    boundary-degenerate, as it does on P.
+
+    Such nodes carry no positive rule. Positive weights exact for
+    |k| <= m would make a discrete measure whose first m Verblunsky
+    parameters are mu's; Q is its paraorthogonal polynomial, so its chain
+    extends rho_m inside the disk and gives a stable P' with
+    Q = z P' rho_m + tau P'* rho*_m. And Q fixes P: D = P - P' has
+    z D rho_m = -tau D* rho*_m, so z rho_m (zeros inside the disk, where
+    rho*_m has none) divides D*, of degree at most ell < m + 1. So D = 0,
+    and P would be stable.
+    """
+    n = q.shape[1] - 1
+    _, stable, band = schur_cohn_rows(q[:, 1:] * (np.arange(1, n + 1) / n))
+    return np.select([band, stable], [_BOUNDARY, _WEIGHTS], _SCHUR)
 
 
 # tau values labelled per batch: this bounds the scan's working memory,
@@ -314,14 +316,14 @@ class _Scan:
 
     ``labels`` gives the ``_classify`` label of every tau, computed a
     block at a time through the batch kernels; each check of the
-    per-point chain is a per-row mask here.
+    per-point chain is a per-row mask here. Rows whose P fails Schur-Cohn
+    skip the node solve and the weights (``_root_codes``).
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
         m = n - ell - 1
         self.n, self.ell = n, ell
-        mu = moments(measure, max(2 * m + 2, n - ell))
-        self.deltas = schur_from_moments(mu, n - ell)
+        mu, self.deltas = moment_chain(measure, n, ell)
         self.mu_arr = mu.array(-m, m)
         self.mu0 = float(mu.get(0).real)
         self.rho = self.deltas.rho_coeffs(m)
@@ -375,7 +377,7 @@ class _Scan:
             codes[rows] = self._rule_codes(q[rows], kappas[rows], tau[rows])
         rows = np.nonzero(ok & ~admissible)[0]
         if len(rows):
-            codes[rows] = _root_codes(q[rows], self.mu_arr, self.mu0)
+            codes[rows] = _root_codes(q[rows])
         return codes
 
     def _rule_codes(self, q, kappas, tau) -> np.ndarray:
@@ -403,10 +405,11 @@ def scan_tau(
     The prescription is factored once as a tau-affine pencil; the grid
     is then labelled in blocks of 64 tau values through the batch
     kernels, each block giving the labels ``_classify`` gives point by
-    point. Adjacent grid points with the positive classification are
-    merged into maximal arcs (with wraparound), and every arc end is
-    refined by bisection, all ends in lockstep, to the configured
-    angular resolution.
+    point; a tau whose P fails Schur-Cohn is labelled by the zeros of Q
+    alone (``_root_codes``), with no weights solved. Adjacent grid points
+    with the positive classification are merged into maximal arcs (with
+    wraparound), and every arc end is refined by bisection, all ends in
+    lockstep, to the configured angular resolution.
     """
     if grid_size < 8:
         raise InvalidParameterError("grid_size must be at least 8")

@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from circlequad import (
-    MeasureSpec,
-    UnitPoint,
-    moments,
-    schur_from_moments,
-)
+from circlequad import MeasureSpec, UnitPoint, moment_chain
 from circlequad._kernels import szego_eval
 
 
@@ -42,8 +37,5 @@ def random_tau(rng):
     return cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
 
 
-def chain(measure, n, ell):
-    """(moments, reflection coefficients) sized for an (n, ell) rule."""
-    need = max(2 * (n - ell - 1) + 2, n - ell)
-    mu = moments(measure, need)
-    return mu, schur_from_moments(mu, n - ell)
+# (moments, reflection coefficients) sized for an (n, ell) rule
+chain = moment_chain

@@ -21,6 +21,7 @@ from circlequad import (
     from_zeros,
     lobatto2,
     modified_schur,
+    moment_chain,
     moments,
     orthogonality_params,
     prescribe_2l,
@@ -28,7 +29,6 @@ from circlequad import (
     radau_arc_admissible,
     scan_tau,
     schur_cohn,
-    schur_from_moments,
     tau_for_omega,
     three_nodes,
     verify_exactness,
@@ -114,12 +114,6 @@ SEVEN_NODE_POSITIONS_ONLY = [
 GREEN_ARC_BOUNDS_OVER_PI = [0.251, 0.499, 0.765, 1.229, 1.505, 1.995]
 
 
-def _chain(measure, n, ell):
-    need = max(2 * (n - ell - 1) + 2, n - ell)
-    mu = moments(measure, need)
-    return mu, schur_from_moments(mu, n - ell)
-
-
 def _finish(num, name, failures):
     status = "PASS" if not failures else "FAIL"
     print(f"ACCEPTANCE CRITERION {num} ({name}): {status}")
@@ -142,7 +136,7 @@ def test_criterion_1_six_node_rule():
     failures = []
     t0 = time.perf_counter()
     n, ell = 16, 3
-    mu, deltas = _chain(RS_HALF, n, ell)
+    mu, deltas = moment_chain(RS_HALF, n, ell)
     alphas = [UnitPoint.from_theta(a % TWO_PI) for a in SIX_NODE_ANGLES]
     tau = cmath.exp(0.9j * math.pi)
     pres = prescribe_2l(deltas, n, ell, alphas, tau)
@@ -186,7 +180,7 @@ def test_criterion_2_seven_node_rule():
     failures = []
     t0 = time.perf_counter()
     n, ell = 16, 3
-    mu, deltas = _chain(RS_HALF, n, ell)
+    mu, deltas = moment_chain(RS_HALF, n, ell)
     starred = [UnitPoint.from_complex(z, tol=1e-9) for z in SEVEN_STARRED]
     pres = prescribe_2lp1(deltas, n, ell, starred)
     rule = build_rule(RS_HALF, pres.spec, mu=mu, deltas=deltas)
@@ -236,7 +230,7 @@ def test_criterion_3_green_arcs():
             abs(got - want) < 0.002,
             f"arc boundary {got:.4f} vs {want:.3f}",
         )
-    mu, deltas = _chain(RS_HALF, n, ell)
+    mu, deltas = moment_chain(RS_HALF, n, ell)
     lab_one = _classify(RS_HALF, n, ell, alphas, 1.0 + 0j, mu, deltas)
     _check(failures, lab_one == RED_WEIGHTS, f"tau=1 classified {lab_one}")
     lab_b = _classify(
@@ -261,7 +255,7 @@ def _random_admissible_rules(measure, rng, count, n_max=14):
             zs /= max(1.0, 1.4 * np.max(np.abs(zs)))
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
         spec = QpopucSpec(n, ell, from_zeros(zs), tau)
-        mu, deltas = _chain(measure, n, ell)
+        mu, deltas = moment_chain(measure, n, ell)
         try:
             rules.append((build_rule(measure, spec, mu=mu, deltas=deltas), mu))
         except CircleQuadError:
@@ -314,7 +308,7 @@ def test_criterion_5_oracle_equivalences():
     rng = np.random.default_rng(51)
 
     # lobatto2 vs the general even-count path, three_nodes vs the odd path
-    mu, deltas = _chain(RS_HALF, 7, 1)
+    mu, deltas = moment_chain(RS_HALF, 7, 1)
     for _ in range(10):
         a = [UnitPoint.from_theta(t) for t in rng.uniform(0, TWO_PI, size=3)]
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
@@ -361,7 +355,7 @@ def test_criterion_5_oracle_equivalences():
 
     # closed-form uniform-measure chain
     leb = MeasureSpec("lebesgue")
-    mu3, d3 = _chain(leb, 3, 1)
+    mu3, d3 = moment_chain(leb, 3, 1)
     res = three_nodes(
         d3,
         3,
@@ -414,7 +408,7 @@ def test_criterion_6_arc_zero_location():
             zs /= max(1.0, 1.4 * np.max(np.abs(zs)))
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
         spec = QpopucSpec(n, ell, from_zeros(zs), tau)
-        mu, deltas = _chain(measure, n, ell)
+        mu, deltas = moment_chain(measure, n, ell)
         try:
             pts = zeros_on_circle(spec, deltas)
         except CircleQuadError:
@@ -453,7 +447,7 @@ def test_criterion_7_representation_equivalence():
             zs /= max(1.0, 1.4 * np.max(np.abs(zs)))
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
         spec = QpopucSpec(n, ell, from_zeros(zs), tau)
-        mu, deltas = _chain(measure, n, ell)
+        mu, deltas = moment_chain(measure, n, ell)
         modified = modified_schur(spec, deltas)
         z = np.exp(1j * rng.uniform(0, TWO_PI, size=64))
         rho, rho_star = szego_eval(modified.params(), z)
@@ -477,7 +471,7 @@ def test_criterion_8_tau_for_omega_round_trip():
         ell = int(rng.integers(0, 3))
         n = int(rng.integers(max(4, 2 * ell + 1), 11))
         measure = RS_HALF if attempts % 2 else MeasureSpec("lebesgue")
-        mu, deltas = _chain(measure, n, ell)
+        mu, deltas = moment_chain(measure, n, ell)
         alphas = [UnitPoint.from_theta(t) for t in rng.uniform(0, TWO_PI, 2 * ell)]
         tau0 = cmath.exp(1j * rng.uniform(0, TWO_PI))
         try:

@@ -6,10 +6,27 @@ import math
 import numpy as np
 import pytest
 
-from circlequad import TOL, MeasureSpec, scan_tau, tau_pencil
-from circlequad.opuc import TWO_PI
+from circlequad import TOL, MeasureSpec, from_zeros, scan_tau, tau_pencil
+from circlequad.errors import CircleQuadError
+from circlequad.opuc import TWO_PI, schur_cohn_rows
 from circlequad.prescribe import _f_values, _vandermonde
-from circlequad.quadrature import GREEN, RED_BOUNDARY, _BLOCK, _classify, _Scan
+from circlequad.qpopuc import assemble_rows
+from circlequad.quadrature import (
+    _BLOCK,
+    _BOUNDARY,
+    _GREEN,
+    _SCHUR,
+    _WEIGHTS,
+    GREEN,
+    RED_BOUNDARY,
+    RED_SCHUR,
+    RED_WEIGHTS,
+    _classify,
+    _root_codes,
+    _Scan,
+    weight_checks,
+    weights_rows,
+)
 
 from conftest import chain, unit
 
@@ -170,3 +187,139 @@ class TestBandHit:
         ).labels
         assert [mirrored[-k % grid] for k in range(grid)] == base
         assert base.count(GREEN) == 2405
+
+
+# ``companion_codes`` of simple circle nodes whose weights it cannot sign
+_UNSOLVED = -1
+
+
+def companion_codes(q, mu_arr, mu0):
+    """The zeros diagnostic ``_root_codes`` replaced, kept as its oracle:
+    Q's zeros from the companion matrix count as circle nodes within 1e-6
+    of |z| = 1 and as simple ones when no two are closer than 1e-8; the
+    least-squares weights at those nodes then tell a positive rule from
+    one with a nonpositive weight. Simple circle nodes get ``_UNSOLVED``
+    when their weights miss the moment residual (the replaced code called
+    them inadmissible-schur) or when the smallest weight is no larger than
+    that residual, so that its sign is noise."""
+    d = q.shape[1] - 1
+    comp = np.zeros((len(q), d, d), dtype=complex)
+    comp[:, 0, :] = -q[:, d - 1 :: -1] / q[:, d : d + 1]
+    comp[:, np.arange(1, d), np.arange(d - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
+    mod = np.abs(roots)
+    on_circle = np.max(np.abs(mod - 1.0), axis=1) <= 1e-6
+    gaps = np.abs(roots[:, :, None] - roots[:, None, :]) + np.eye(d)
+    simple = np.min(gaps, axis=(1, 2)) >= 1e-8
+    lam, resid_ok, resid = weights_rows(roots / mod, mu_arr, mu0)
+    positive, _ = weight_checks(lam, mu0)
+    signed = resid_ok & (np.abs(np.min(lam, axis=1)) > resid)
+    return np.select(
+        [~on_circle, ~simple, ~signed, ~positive], [_SCHUR, _BOUNDARY, _UNSOLVED, _WEIGHTS], _GREEN
+    )
+
+
+def close_circle_pair(q) -> bool:
+    """Has Q two zeros within 1e-6 of the circle and 1e-5 of each other?"""
+    roots = np.roots(q[::-1])
+    roots = roots[np.abs(np.abs(roots) - 1.0) <= 1e-6]
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
+    return bool(np.min(gaps, initial=1.0) <= 1e-5)
+
+
+def unstable_rows(scan, grid):
+    """Q of every tau on a grid whose P is Schur-unstable outside the band."""
+    tau = np.exp(1j * np.arange(grid) * (TWO_PI / grid))
+    p = scan.pencil.lobatto_rows(tau)[0] if scan.ell == 1 else scan.pencil.coefficients(tau)
+    _, stable, band = schur_cohn_rows(p)
+    rows = ~stable & ~band
+    return assemble_rows(p[rows], tau[rows], scan.rho)
+
+
+class TestCohnLabels:
+    """``_root_codes`` (Cohn's test on Q'/n) against the companion-root oracle."""
+
+    def test_random_configurations(self):
+        rng = np.random.default_rng(2022)
+        rows = configs = unsolved = 0
+        while configs < 40:
+            ell = int(rng.integers(1, 5))
+            if rng.random() < 0.5:
+                measure = MeasureSpec("rogers_szego", q=float(rng.uniform(0.2, 0.9)))
+                n_max = 30
+            else:
+                a = float(rng.uniform(0.0, TWO_PI))
+                b = a + float(rng.uniform(2.0, 5.5))
+                measure = MeasureSpec("arc_lebesgue", theta_a=a, theta_b=b)
+                # moment Levinson breaks down on arcs from order ~13
+                n_max = min(30, ell + 12)
+            n = int(rng.integers(2 * ell + 2, n_max + 1))
+            try:
+                scan = _Scan(measure, n, ell, spread_nodes(rng, 2 * ell))
+            except CircleQuadError:
+                continue
+            if scan.refused:
+                continue
+            configs += 1
+            q = unstable_rows(scan, 200)
+            got, want = _root_codes(q), companion_codes(q, scan.mu_arr, scan.mu0)
+            # near q = 0.9 and n = 30 the moment system is too ill-conditioned
+            # to sign the oracle's weights; its zeros are still simple circle
+            # nodes
+            solved = want != _UNSOLVED
+            # a band hit puts a zero of Q'/n on the circle, where Q has two
+            # zeros; the oracle may see an off-circle pair of Q first
+            band = got == _BOUNDARY
+            assert got[solved & ~band].tolist() == want[solved & ~band].tolist()
+            assert (got[~solved & ~band] == _WEIGHTS).all()
+            assert all(close_circle_pair(row) for row in q[band])
+            rows += len(q)
+            unsolved += int(np.sum(~solved))
+        assert rows > 5000 and unsolved < 0.01 * rows
+
+    def test_criterion_3_grid(self):
+        scan = _Scan(RS_HALF, 16, 3, paper_alphas())
+        q = unstable_rows(scan, 4000)
+        codes = _root_codes(q)
+        assert codes.tolist() == companion_codes(q, scan.mu_arr, scan.mu0).tolist()
+        assert set(codes.tolist()) == {_SCHUR, _WEIGHTS}
+
+    def test_derivative_identity(self):
+        # Q = z rho~ + tau rho~* with rho~ = Q'/n, for every tau-invariant Q
+        rng = np.random.default_rng(5)
+        for ell, k in [(0, 6), (2, 9), (3, 12)]:
+            p = np.concatenate(
+                [0.5 * (rng.normal(size=(8, ell)) + 1j * rng.normal(size=(8, ell))), np.ones((8, 1))],
+                axis=1,
+            )
+            tau = np.exp(1j * rng.uniform(0.0, TWO_PI, size=8))
+            rho = np.concatenate([rng.normal(size=k) + 1j * rng.normal(size=k), [1.0]])
+            q = assemble_rows(p, tau, rho)
+            n = q.shape[1] - 1
+            rho_t = q[:, 1:] * (np.arange(1, n + 1) / n)
+            rebuilt = np.zeros_like(q)
+            rebuilt[:, 1:] = rho_t
+            rebuilt[:, :-1] += tau[:, None] * np.conj(rho_t[:, ::-1])
+            assert np.max(np.abs(rebuilt - q)) <= 1e-13 * np.max(np.abs(q))
+
+    def test_double_zero_on_circle_is_boundary(self):
+        zeros = np.exp(1j * np.array([0.4, 0.4, 1.3, 2.9, 4.0, 5.5]))
+        assert _root_codes(from_zeros(zeros).coeffs[None]).tolist() == [_BOUNDARY]
+        # a tau where two zeros of the criterion-3 Q meet on the circle:
+        # bisect between grid points labelled by either side of the meeting
+        mu, deltas = chain(RS_HALF, 16, 3)
+        scan = _Scan(RS_HALF, 16, 3, paper_alphas())
+        lo, hi = 217 * TWO_PI / 4000, 218 * TWO_PI / 4000
+        assert scan.labels([lo, hi]).tolist() == [RED_WEIGHTS, RED_SCHUR]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            label = scan.labels([mid])[0]
+            if label == RED_BOUNDARY:
+                break
+            if label == RED_WEIGHTS:
+                lo = mid
+            else:
+                hi = mid
+        assert label == RED_BOUNDARY
+        tau = complex(np.exp(1j * mid))
+        assert _classify(RS_HALF, 16, 3, paper_alphas(), tau, mu, deltas) == RED_BOUNDARY
