@@ -1,18 +1,11 @@
 """Hot numeric kernels on arrays of circle points: the pointwise Szego
 recursion and the split Blaschke phase of the node solve (numpy only).
-
-The Szego recursion has two implementations: a numba ``@njit`` version
-and a pure numpy fallback. Selection is made once at import time from the
-``CIRCLEQUAD_NUMBA`` environment variable: set it to ``0`` to force the
-numpy path; any other value (or unset) uses numba when it is importable.
 """
-
-import os
 
 import numpy as np
 
 
-def szego_eval_numpy(deltas, z):
+def szego_eval(deltas, z):
     """Evaluate (rho_k, rho_k*) at points ``z`` for k = deltas.shape[-1].
 
     ``deltas`` holds delta_1..delta_k, optionally behind leading batch
@@ -21,7 +14,7 @@ def szego_eval_numpy(deltas, z):
     rho_j = z rho_{j-1} + delta_j rho*_{j-1},
     rho*_j = conj(delta_j) z rho_{j-1} + rho*_{j-1}.
     """
-    z = np.asarray(z, dtype=np.complex128)
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
     deltas = np.asarray(deltas, dtype=np.complex128)
     shape = np.broadcast_shapes(deltas.shape[:-1] + (1,), z.shape)
     rho = np.ones(shape, dtype=np.complex128)
@@ -39,47 +32,10 @@ def _steps(deltas):
     return deltas if deltas.ndim == 1 else np.moveaxis(deltas, -1, 0)[..., None]
 
 
-_use_numba = os.environ.get("CIRCLEQUAD_NUMBA", "1") != "0"
-
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _use_numba = False
-
-if _use_numba:
-
-    @njit(cache=True)
-    def _szego_eval_numba(deltas, z):
-        m = z.shape[0]
-        rho = np.ones(m, dtype=np.complex128)
-        rho_star = np.ones(m, dtype=np.complex128)
-        for d in deltas:
-            dc = np.conj(d)
-            for i in range(m):
-                zr = z[i] * rho[i]
-                new_rho = zr + d * rho_star[i]
-                rho_star[i] = dc * zr + rho_star[i]
-                rho[i] = new_rho
-        return rho, rho_star
-
-    def szego_eval(deltas, z):
-        deltas = np.ascontiguousarray(np.asarray(deltas, dtype=np.complex128))
-        if deltas.ndim > 1:  # the jit kernel takes one chain
-            return szego_eval_numpy(deltas, z)
-        z = np.ascontiguousarray(np.atleast_1d(np.asarray(z, dtype=np.complex128)))
-        return _szego_eval_numba(deltas, z)
-
-else:
-
-    def szego_eval(deltas, z):
-        z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-        deltas = np.asarray(deltas, dtype=np.complex128)
-        return szego_eval_numpy(deltas, z)
-
-
 def using_numba() -> bool:
-    return _use_numba
+    """Always False: the kernels are numpy only. Kept because the
+    benchmark's environment report reads it."""
+    return False
 
 
 def blaschke_values(deltas, z):

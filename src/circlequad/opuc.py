@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -217,29 +217,26 @@ def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
 
     delta_k = -<z rho_{k-1}, 1> / <rho*_{k-1}, 1>, with the norm update
     E_k = E_{k-1} (1 - |delta_k|^2) acting as the positive-definiteness
-    certificate.
+    certificate. rho_k comes from ``_szego_step``, and rho*_{k-1} is read
+    off rho_{k-1} as its conjugate reversal.
     """
     if n > mu.order:
         raise MomentRangeError(f"need moments to order {n}, have {mu.order}")
     mu_arr = mu.array(0, n)
     rho = np.array([1.0 + 0.0j])
-    rho_star = np.array([1.0 + 0.0j])
     params = []
     e0 = float(mu_arr[0].real)
     e = e0
     for k in range(1, n + 1):
         num = np.dot(rho, mu_arr[1 : len(rho) + 1])
-        den = np.dot(rho_star, mu_arr[: len(rho_star)])
+        den = np.dot(np.conj(rho[::-1]), mu_arr[: len(rho)])
         d = -num / den
         e_next = e * (1.0 - abs(d) ** 2)
         if abs(d) >= 1.0 or e_next <= 0:
             raise NotPositiveDefiniteError(
                 f"moment sequence not positive definite at order {k} (|delta| = {abs(d)})"
             )
-        zr = np.concatenate([[0.0], rho])
-        rs = np.zeros(len(zr), dtype=complex)
-        rs[: len(rho_star)] = rho_star
-        rho, rho_star = zr + d * rs, np.conj(d) * zr + rs
+        rho = _szego_step(rho, d)
         params.append(d)
         e = e_next
     return SchurSequence.from_params(np.array(params), e0=e0)
@@ -392,7 +389,6 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints
 class SchurCohnResult:
     stable: bool
     params: list  # s_k(0) = kappa_k for k = ell..1 (downward order)
-    kappas: dict = field(default_factory=dict)  # k -> P_k(0)
 
     @property
     def worst(self) -> float:
@@ -441,12 +437,7 @@ def schur_cohn(p: ComplexPoly) -> SchurCohnResult:
             f"|s_{p.degree - i}(0)| = {abs(kappas[i])} within "
             f"{TOL.disk_boundary_band} of the unit circle"
         )
-    params = [complex(k) for k in kappas]
-    return SchurCohnResult(
-        stable=bool(stable[0]),
-        params=params,
-        kappas={p.degree - i: k for i, k in enumerate(params)},
-    )
+    return SchurCohnResult(stable=bool(stable[0]), params=[complex(k) for k in kappas])
 
 
 def random_unit_points(rng, count: int) -> list[UnitPoint]:

@@ -420,19 +420,15 @@ def prescribe_2lp1(
     the leading coefficient to 1 turns it into a square solve whose
     second block must come out as tau times the conjugate-reversed first
     block — that surplus structure determines tau and doubles as the
-    validation.
+    validation. Three nodes (ell = 1) are left to ``three_nodes``, whose
+    inadmissible result has ``spec`` None.
     """
     if len(alphas) != 2 * ell + 1 or ell < 1:
         raise InvalidParameterError(f"expected 2*ell + 1 = {2 * ell + 1} nodes")
     if 2 * ell + 1 > n:
         raise InvalidParameterError("need 2*ell + 1 <= n")
     if ell == 1:
-        out = three_nodes(deltas, n, alphas)
-        if out.spec is None:
-            raise NoSolutionError(
-                "three-node configuration is inadmissible (orientation mismatch)"
-            )
-        return out
+        return three_nodes(deltas, n, alphas)
     az = np.array([p.z for p in alphas])
     m_tot = 2 * ell + 1
     if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(m_tot)) < TOL.node_distinct:
@@ -510,7 +506,7 @@ def classical_arc(
     elif mode == "lobatto":
         if tau_hat is None:
             raise InvalidParameterError("lobatto mode requires tau_hat")
-        if abs(abs(tau_hat) - 1.0) > 1e-12:
+        if abs(abs(tau_hat) - 1.0) > TOL.on_circle:
             raise InvalidParameterError("|tau_hat| must equal 1")
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -553,7 +549,7 @@ def tau_for_omega(
     (solutions, degenerate) where degenerate means omega does not depend
     on tau at all (B = 0 with the target attained).
     """
-    if abs(abs(omega) - 1.0) > 1e-12:
+    if abs(abs(omega) - 1.0) > TOL.on_circle:
         raise InvalidParameterError("|omega| must equal 1")
     if len(alphas) != 2 * ell:
         raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")

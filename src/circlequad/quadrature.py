@@ -36,10 +36,9 @@ from .opuc import (
     schur_cohn_rows,
 )
 from .poly import ONE
-from .prescribe import prescribe_2l, tau_pencil
+from .prescribe import tau_pencil
 from .qpopuc import (
     QpopucSpec,
-    assemble,
     assemble_rows,
     modified_params,
     orthogonality_params,
@@ -248,39 +247,6 @@ def verify_exactness(rule: QuadRule, mu: MomentSequence) -> dict:
     return report
 
 
-def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
-    """One scanner grid point -> classification label.
-
-    The per-point reference for ``scan_tau``'s batched labels: it runs
-    the public prescription and rule chain and maps its errors to labels.
-    """
-    try:
-        if ell == 0:
-            res_spec = QpopucSpec(n, 0, ONE, tau)
-            admissible = True
-        else:
-            pres = prescribe_2l(deltas, n, ell, alphas, tau)
-            if "boundary_degenerate" in pres.diagnostics:
-                return RED_BOUNDARY
-            res_spec = pres.spec
-            admissible = pres.admissible
-    except CircleQuadError:
-        return RED_BOUNDARY
-    if admissible:
-        try:
-            build_rule(measure, res_spec, mu=mu, deltas=deltas)
-            return GREEN
-        except PositivityViolationError:
-            return RED_WEIGHTS
-        except CircleQuadError:
-            return RED_BOUNDARY
-    try:
-        q = assemble(res_spec, deltas)
-    except CircleQuadError:
-        return RED_BOUNDARY
-    return _LABELS[_root_codes(q.coeffs[None])[0]]
-
-
 def _root_codes(q) -> np.ndarray:
     """Label codes for rows of Q (batch, n + 1) whose P failed Schur-Cohn:
     Cohn's test on rho~ = Q'/n.
@@ -314,10 +280,11 @@ _BLOCK = 64
 class _Scan:
     """The tau-free part of one scan: chain, moments, pencil and nodes.
 
-    ``labels`` gives the ``_classify`` label of every tau, computed a
-    block at a time through the batch kernels; each check of the
-    per-point chain is a per-row mask here. Rows whose P fails Schur-Cohn
-    skip the node solve and the weights (``_root_codes``).
+    ``labels`` gives every tau the label that ``prescribe_2l`` and
+    ``build_rule`` give it point by point, computed a block at a time
+    through the batch kernels; each check of that per-point chain is a
+    per-row mask here. Rows whose P fails Schur-Cohn skip the node solve
+    and the weights (``_root_codes``).
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
@@ -404,9 +371,10 @@ def scan_tau(
 
     The prescription is factored once as a tau-affine pencil; the grid
     is then labelled in blocks of 64 tau values through the batch
-    kernels, each block giving the labels ``_classify`` gives point by
-    point; a tau whose P fails Schur-Cohn is labelled by the zeros of Q
-    alone (``_root_codes``), with no weights solved. Adjacent grid points
+    kernels, each block giving the labels that the per-point
+    prescription and ``build_rule`` give; a tau whose P fails Schur-Cohn
+    is labelled by the zeros of Q alone (``_root_codes``), with no
+    weights solved. Adjacent grid points
     with the positive classification are merged into maximal arcs (with
     wraparound), and every arc end is refined by bisection, all ends in
     lockstep, to the configured angular resolution.

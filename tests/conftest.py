@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from circlequad import MeasureSpec, UnitPoint, moment_chain
-from circlequad._kernels import szego_eval
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation once so timed tests measure math only."""
-    szego_eval(np.array([0.1 + 0.0j]), np.array([1.0 + 0.0j]))
+from circlequad import (
+    MeasureSpec,
+    QpopucSpec,
+    UnitPoint,
+    assemble,
+    build_rule,
+    moment_chain,
+    prescribe_2l,
+)
+from circlequad.errors import CircleQuadError, PositivityViolationError
+from circlequad.poly import ONE
+from circlequad.quadrature import GREEN, RED_BOUNDARY, RED_WEIGHTS, _LABELS, _root_codes
 
 
 @pytest.fixture
@@ -39,3 +43,36 @@ def random_tau(rng):
 
 # (moments, reflection coefficients) sized for an (n, ell) rule
 chain = moment_chain
+
+
+def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
+    """One scanner grid point -> classification label.
+
+    The per-point oracle for ``scan_tau``'s batched labels: it runs the
+    public prescription and rule chain and maps its errors to labels.
+    """
+    try:
+        if ell == 0:
+            res_spec = QpopucSpec(n, 0, ONE, tau)
+            admissible = True
+        else:
+            pres = prescribe_2l(deltas, n, ell, alphas, tau)
+            if "boundary_degenerate" in pres.diagnostics:
+                return RED_BOUNDARY
+            res_spec = pres.spec
+            admissible = pres.admissible
+    except CircleQuadError:
+        return RED_BOUNDARY
+    if admissible:
+        try:
+            build_rule(measure, res_spec, mu=mu, deltas=deltas)
+            return GREEN
+        except PositivityViolationError:
+            return RED_WEIGHTS
+        except CircleQuadError:
+            return RED_BOUNDARY
+    try:
+        q = assemble(res_spec, deltas)
+    except CircleQuadError:
+        return RED_BOUNDARY
+    return _LABELS[_root_codes(q.coeffs[None])[0]]

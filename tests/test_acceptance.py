@@ -38,7 +38,9 @@ from circlequad._kernels import szego_eval
 from circlequad.errors import BoundaryDegenerateError, CircleQuadError
 from circlequad.opuc import TWO_PI
 from circlequad.poly import ONE, ComplexPoly
-from circlequad.quadrature import RED_SCHUR, RED_WEIGHTS, _classify
+from circlequad.quadrature import RED_SCHUR, RED_WEIGHTS
+
+from conftest import _classify
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 

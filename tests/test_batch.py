@@ -21,14 +21,13 @@ from circlequad.quadrature import (
     RED_BOUNDARY,
     RED_SCHUR,
     RED_WEIGHTS,
-    _classify,
     _root_codes,
     _Scan,
     weight_checks,
     weights_rows,
 )
 
-from conftest import chain, unit
+from conftest import _classify, chain, unit
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 ARC = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
@@ -95,7 +94,7 @@ def direct_coefficients(deltas, n, ell, alphas, tau):
 
 
 class TestTauPencil:
-    @pytest.mark.parametrize("ell", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
     def test_matches_direct_coupled_solve(self, ell):
         rng = np.random.default_rng(300 + ell)
         n = 2 * ell + 5

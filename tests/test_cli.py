@@ -86,6 +86,18 @@ class TestRuleCommand:
         assert data["condition"] == "inadmissible"
         assert "eta" in data["diagnostics"]
 
+    def test_inadmissible_three_nodes_exit_2(self, capsys):
+        # the alpha and f triples have opposite orientations: |eta| > 1
+        code, data = run_json(
+            capsys,
+            ["rule", "--measure", "rogers-szego:q=0.5", "--n", "7", "--ell", "1",
+             "--prescribe", "0.5381495885689892", "1.4879242956303682",
+             "5.034555946803014"],
+        )
+        assert code == 2
+        assert data["condition"] == "inadmissible"
+        assert "eta" in data["diagnostics"]
+
     def test_bad_measure_exit_1(self, capsys):
         code, data = run_json(
             capsys, ["rule", "--measure", "gauss", "--n", "4", "--tau", "0"]
