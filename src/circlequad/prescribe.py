@@ -29,7 +29,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from ._kernels import blaschke_values
-from .measures import ArcSpec, in_open_arc, same_orientation
+from .measures import ArcSpec, in_open_arc, modified_hat_moments, same_orientation
 from .opuc import (
     MomentSequence,
     SchurSequence,
@@ -41,7 +41,6 @@ from .opuc import (
 )
 from .poly import ONE, ComplexPoly, from_zeros
 from .qpopuc import QpopucSpec, assemble, residual_rows
-from .measures import modified_hat_moments
 
 
 @dataclass
@@ -77,6 +76,8 @@ def radau(deltas: SchurSequence, n: int, alpha: UnitPoint) -> PrescriptionResult
         raise InvalidParameterError("radau requires n >= 2")
     tau = -blaschke_eval(deltas, n, alpha.z)
     spec = QpopucSpec(n, 0, ONE, tau)
+    # tighter than TOL.node_residual: tau = -F_n(alpha) makes Q(alpha)
+    # vanish up to one Blaschke evaluation's rounding
     resid = _check_residual(spec, deltas, [alpha], 1e-11)
     return PrescriptionResult(
         spec,
@@ -96,6 +97,7 @@ def radau_arc_admissible(
     tau_a = blaschke_eval(deltas, n, arc.a.z)
     tau_b = blaschke_eval(deltas, n, arc.b.z)
     if closed:
+        # an endpoint hit: -tau equals F_n(a) or F_n(b) up to rounding
         if abs(-tau - tau_a) < 1e-12 or abs(-tau - tau_b) < 1e-12:
             return True
     return in_open_arc(-tau, tau_a, tau_b)
@@ -166,72 +168,55 @@ def _schur_admissible(poly: ComplexPoly, diagnostics: dict) -> bool:
     return sc.stable
 
 
-def _mobius_through(points, images):
-    """Coefficients (a, b, c, d) of the Moebius map sending each point
-    to its image, via the nullspace of the 3x4 incidence system."""
-    rows = []
-    for z, w in zip(points, images):
-        rows.append([z, 1.0, -w * z, -w])
-    _, s, vh = np.linalg.svd(np.array(rows, dtype=complex))
-    if s[-1] < 1e-10 * s[0]:
-        raise NoSolutionError(
-            "Moebius interpolation is degenerate (coincident data)"
-        )
-    return vh[-1].conj()
-
-
 def three_nodes(
     deltas: SchurSequence, n: int, alphas: list[UnitPoint]
 ) -> PrescriptionResult:
     """Three prescribed nodes (ell = 1): both eta and tau are determined.
 
-    The interpolation conditions say the disk automorphism
-    conj(tau) (z - eta)/(1 - conj(eta) z) maps alpha_i to -f_i; the map
-    is recovered by Moebius interpolation and decomposed. It is a disk
-    automorphism (|eta| < 1) exactly when the alpha and f triples have
-    the same orientation on the circle; both criteria are evaluated and
-    must agree.
+    The ell = 1 case of ``_odd_solve``, read as P(z) = z - eta. The
+    interpolation conditions say the map conj(tau) (z - eta)/(1 - conj(eta) z)
+    sends alpha_i to -f_i. It is a disk automorphism (|eta| < 1) exactly
+    when the alpha and f triples have the same orientation on the circle;
+    both criteria are evaluated and must agree. An inadmissible triple has
+    ``spec`` None, with eta in the diagnostics.
     """
-    if len(alphas) != 3:
-        raise InvalidParameterError("three_nodes takes exactly 3 points")
-    az = [p.z for p in alphas]
-    if min(abs(az[0] - az[1]), abs(az[0] - az[2]), abs(az[1] - az[2])) < TOL.node_distinct:
-        raise InvalidParameterError("prescribed nodes must be distinct")
-    f = _f_values(deltas, n, 1, alphas)
-    if min(abs(f[0] - f[1]), abs(f[0] - f[2]), abs(f[1] - f[2])) < TOL.blaschke_distinct:
-        raise NoSolutionError("Blaschke values at the nodes are not distinct")
-    a, b, c, d = _mobius_through(az, [-fi for fi in f])
-    if abs(a) < 1e-13 or abs(d) < 1e-13:
-        raise NoSolutionError("interpolating map is not a disk automorphism")
-    eta = -b / a
-    eta_alt = np.conj(-c / d)
-    tau = np.conj(a / d)
-    diagnostics = {
-        "f_values": list(f),
-        "eta": complex(eta),
-        "eta_alt": complex(eta_alt),
-        "tau": complex(tau),
-    }
-    orientation_ok = same_orientation(tuple(az), tuple(f))
+    poly, tau, f, cond = _odd_solve(deltas, n, 1, alphas)
+    eta = complex(-poly.coeffs[0])
+    diagnostics = {"f_values": list(f), "eta": eta, "tau": tau, "condition": cond}
     inside = abs(eta) < 1.0
+    # wider than TOL.disk_boundary_band: eta is read off a linear solve,
+    # not a Schur-Cohn parameter
     if abs(abs(eta) - 1.0) <= 1e-9:
         raise BoundaryDegenerateError(
             f"|eta| = {abs(eta)} is within 1e-9 of the unit circle"
         )
-    if orientation_ok != inside:
-        raise InternalConsistencyError(
-            "orientation test and |eta| < 1 disagree"
-        )
+    if same_orientation(tuple(a.z for a in alphas), tuple(f)) != inside:
+        raise InternalConsistencyError("orientation test and |eta| < 1 disagree")
     if not inside:
         return PrescriptionResult(None, False, diagnostics)
-    if abs(eta - eta_alt) > 1e-8 * (1.0 + abs(eta)):
-        raise InternalConsistencyError("the two eta readings of the map disagree")
-    if abs(abs(tau) - 1.0) > 1e-9:
-        raise InternalConsistencyError(f"|tau| = {abs(tau)} drifted off the circle")
-    tau = tau / abs(tau)
-    spec = QpopucSpec(n, 1, from_zeros([eta]), tau)
+    spec = QpopucSpec(n, 1, poly, tau)
+    # a tenth of TOL.node_residual, the three-node gate: the 3x3 solve
+    # lands far below it (under 4e-13 relative on seeded draws)
     _check_residual(spec, deltas, alphas, 1e-10)
     return PrescriptionResult(spec, True, diagnostics)
+
+
+def _prescribed_nodes(alphas, n: int, ell: int, count: int) -> np.ndarray:
+    """The checks every multi-node prescription makes: ell >= 1, ``count``
+    nodes, 2*ell + 1 <= n and no two nodes coinciding. Returns the points."""
+    if len(alphas) != count or ell < 1:
+        raise InvalidParameterError(f"expected {count} nodes with ell >= 1")
+    if 2 * ell + 1 > n:
+        raise InvalidParameterError("need 2*ell + 1 <= n")
+    az = np.array([p.z for p in alphas], dtype=complex)
+    if _min_gap(az) < TOL.node_distinct:
+        raise InvalidParameterError("prescribed nodes must be distinct")
+    return az
+
+
+def _min_gap(z: np.ndarray) -> float:
+    """Smallest distance between two of a few unit complex numbers."""
+    return float(np.min(np.abs(z[:, None] - z[None, :]) + np.eye(len(z))))
 
 
 def _vandermonde(points, cols):
@@ -342,13 +327,7 @@ def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     Raises ``InvalidParameterError`` for a wrong node count or
     coinciding nodes; every other refusal is left to the caller.
     """
-    if len(alphas) != 2 * ell or ell < 1:
-        raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
-    if 2 * ell + 1 > n:
-        raise InvalidParameterError("need 2*ell + 1 <= n")
-    az = np.array([p.z for p in alphas], dtype=complex)
-    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(2 * ell)) < TOL.node_distinct:
-        raise InvalidParameterError("prescribed nodes must be distinct")
+    az = _prescribed_nodes(alphas, n, ell, 2 * ell)
     f = _f_values(deltas, n, ell, alphas)
     v = _vandermonde(az, ell)
     d = az**ell
@@ -415,25 +394,38 @@ def prescribe_2lp1(
 ) -> PrescriptionResult:
     """2*ell + 1 prescribed nodes: tau is no longer free.
 
-    Scaling the interpolation conditions by lambda = sqrt(conj(tau))
-    makes them a homogeneous system in (lambda p, conj-reversed); fixing
-    the leading coefficient to 1 turns it into a square solve whose
-    second block must come out as tau times the conjugate-reversed first
-    block — that surplus structure determines tau and doubles as the
-    validation. Three nodes (ell = 1) are left to ``three_nodes``, whose
-    inadmissible result has ``spec`` None.
+    Runs ``_odd_solve``; admissible iff P passes the Schur-Cohn test.
+    Three nodes (ell = 1) go through ``three_nodes``, which reads the
+    verdict from eta and the orientation theorem instead, and whose
+    inadmissible result has ``spec`` None and eta in the diagnostics.
     """
-    if len(alphas) != 2 * ell + 1 or ell < 1:
-        raise InvalidParameterError(f"expected 2*ell + 1 = {2 * ell + 1} nodes")
-    if 2 * ell + 1 > n:
-        raise InvalidParameterError("need 2*ell + 1 <= n")
     if ell == 1:
         return three_nodes(deltas, n, alphas)
-    az = np.array([p.z for p in alphas])
-    m_tot = 2 * ell + 1
-    if np.min(np.abs(az[:, None] - az[None, :]) + np.eye(m_tot)) < TOL.node_distinct:
-        raise InvalidParameterError("prescribed nodes must be distinct")
+    poly, tau, f, cond = _odd_solve(deltas, n, ell, alphas)
+    diagnostics = {"f_values": list(f), "condition": cond, "tau": tau}
+    admissible = _schur_admissible(poly, diagnostics)
+    spec = QpopucSpec(n, ell, poly, tau)
+    _check_residual(spec, deltas, alphas, TOL.node_residual)
+    return PrescriptionResult(spec, admissible, diagnostics)
+
+
+def _odd_solve(deltas: SchurSequence, n: int, ell: int, alphas):
+    """The 2*ell + 1 node system, solved once: (P, tau, f, condition).
+
+    Scaling the interpolation conditions P(a_i) + tau f_i P*(a_i) = 0 by
+    lambda = sqrt(conj(tau)) makes them a homogeneous system in
+    (lambda p, conj-reversed); fixing the leading coefficient of P to 1
+    turns it into a square solve whose second block must come out as tau
+    times the conjugate-reversed first block. That surplus structure
+    determines tau and doubles as the validation, with the homogeneous
+    residual as the last check.
+    """
+    az = _prescribed_nodes(alphas, n, ell, 2 * ell + 1)
     f = _f_values(deltas, n, ell, alphas)
+    # for ell = 1, P/P* is a Moebius map, one-to-one on the circle: no
+    # two nodes can share a Blaschke value
+    if ell == 1 and _min_gap(f) < TOL.blaschke_distinct:
+        raise NoSolutionError("Blaschke values at the nodes are not distinct")
 
     # rows: p_0..p_{ell-1} columns, then f_i * (q_0..q_ell) columns,
     # with the p_ell (monic) column moved to the right-hand side
@@ -449,16 +441,18 @@ def prescribe_2lp1(
     p, q = x[:ell], x[ell:]
     # true solution: q = tau * conj-reverse of (p_0..p_{ell-1}, 1)
     full = np.concatenate([p, [1.0]])
-    ratios = q / np.conj(full[::-1])
-    tau = complex(ratios[0])
+    tau = complex(q[0])
+    scale = 1.0 + float(np.max(np.abs(full)))
+    # this solve's own gates (1e-8, 1e-8, 1e-9), looser than TOL.coupling:
+    # tau is read off q_0, so its error enters every later check
     if abs(abs(tau) - 1.0) > 1e-8:
         raise NoSolutionError(
             f"recovered invariance parameter has modulus {abs(tau)}; the "
             "prescribed nodes admit no invariant solution"
         )
     tau /= abs(tau)
-    scatter = float(np.max(np.abs(ratios - tau)))
-    if scatter > 1e-8 * (1.0 + np.max(np.abs(full))):
+    scatter = float(np.max(np.abs(q - tau * np.conj(full[::-1]))))
+    if scatter > 1e-8 * scale:
         raise InternalConsistencyError(
             f"conjugate-reversal structure violated by {scatter:.3e}"
         )
@@ -467,15 +461,11 @@ def prescribe_2lp1(
     poly = ComplexPoly(full)
     p_star = poly.reciprocal(ell)
     hom = np.abs(lam * poly(az) + f * np.conj(lam) * p_star(az))
-    if np.max(hom) > 1e-9 * (1.0 + float(np.max(np.abs(full)))):
+    if np.max(hom) > 1e-9 * scale:
         raise InternalConsistencyError(
             f"homogeneous residual {np.max(hom):.3e} after tau recovery"
         )
-    diagnostics = {"f_values": list(f), "condition": cond, "tau": tau}
-    admissible = _schur_admissible(poly, diagnostics)
-    spec = QpopucSpec(n, ell, poly, tau)
-    _check_residual(spec, deltas, alphas, TOL.node_residual)
-    return PrescriptionResult(spec, admissible, diagnostics)
+    return poly, tau, f, cond
 
 
 def classical_arc(
@@ -525,6 +515,8 @@ def classical_arc(
     nodal = from_zeros([arc.a.z, arc.b.z]) * p_inner
     nodes = [arc.a, arc.b, *interior]
     for pt in interior:
+        # radians: an interior node this close outside an endpoint is
+        # that endpoint, moved by the node solve's rounding
         if not arc.contains(pt.z, closed=True, tol=1e-10):
             return PrescriptionResult(
                 None, False, dict(diagnostics, escaped_node=pt.theta)
@@ -566,6 +558,8 @@ def tau_for_omega(
 
     d_big = np.conj(delta)
     scale = max(abs(a_coef), abs(b_coef), 1.0)
+    # this closed form's own gates, each just above its step's rounding: B = 0
+    # (1e-12), a root on the circle (1e-10), omega attained, roots merged (1e-9)
     if abs(b_coef) <= 1e-12 * scale:
         # P(0) = A tau: omega is the same for every tau
         realized = _omega_from_p0(a_coef, b_coef, 1.0 + 0.0j, delta)
@@ -599,6 +593,7 @@ def tau_for_omega(
 def _omega_from_p0(a_coef, b_coef, tau, delta):
     p0 = a_coef * tau + b_coef
     den = np.conj(tau) * p0 - np.conj(delta)
+    # omega is undefined (order collapse) where the denominator is rounding
     if abs(den) < 1e-13:
         return None
     return complex((tau * np.conj(p0) - delta) / den)

@@ -40,7 +40,7 @@ from circlequad.opuc import TWO_PI
 from circlequad.poly import ONE, ComplexPoly
 from circlequad.quadrature import RED_SCHUR, RED_WEIGHTS
 
-from conftest import _classify
+from circlequad_helpers import _classify, direct_coefficients
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 
@@ -309,31 +309,34 @@ def test_criterion_5_oracle_equivalences():
     failures = []
     rng = np.random.default_rng(51)
 
-    # lobatto2 vs the general even-count path, three_nodes vs the odd path
-    mu, deltas = moment_chain(RS_HALF, 7, 1)
+    # lobatto2 vs the coupled (p, conj p) solve at the same tau; three_nodes
+    # and prescribe_2lp1 vs a round trip: three zeros of an admissible
+    # (P, tau) must give that (P, tau) back
+    n = 7
+    mu, deltas = moment_chain(RS_HALF, n, 1)
     for _ in range(10):
-        a = [UnitPoint.from_theta(t) for t in rng.uniform(0, TWO_PI, size=3)]
+        a = [UnitPoint.from_theta(t) for t in rng.uniform(0, TWO_PI, size=2)]
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
-        r1 = lobatto2(deltas, 7, a[0], a[1], tau)
-        r2 = prescribe_2l(deltas, 7, 1, a[:2], tau)
+        r1 = lobatto2(deltas, n, a[0], a[1], tau)
+        want = direct_coefficients(deltas, n, 1, a, tau)
         _check(
             failures,
-            np.max(np.abs(r1.spec.P.coeffs - r2.spec.P.coeffs)) < 1e-10
-            and r1.admissible == r2.admissible,
-            "lobatto2 and prescribe_2l disagree",
+            abs(r1.spec.P.coeffs[0] - want[0]) < 1e-10
+            and r1.admissible == (abs(want[0]) < 1.0),
+            "lobatto2 and the coupled solve disagree",
         )
-        try:
-            r3 = three_nodes(deltas, 7, a)
-            if r3.admissible:
-                r4 = prescribe_2lp1(deltas, 7, 1, a)
-                _check(
-                    failures,
-                    np.max(np.abs(r3.spec.P.coeffs - r4.spec.P.coeffs)) < 1e-10
-                    and abs(r3.spec.tau - r4.spec.tau) < 1e-10,
-                    "three_nodes and prescribe_2lp1 disagree",
-                )
-        except CircleQuadError:
-            pass
+        eta = 0.8 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
+        spec = QpopucSpec(n, 1, from_zeros([eta]), cmath.exp(1j * rng.uniform(0, TWO_PI)))
+        pts = zeros_on_circle(spec, deltas)
+        picks = [pts[i] for i in rng.choice(n, size=3, replace=False)]
+        for res in (three_nodes(deltas, n, picks), prescribe_2lp1(deltas, n, 1, picks)):
+            _check(
+                failures,
+                res.admissible
+                and np.max(np.abs(res.spec.P.coeffs - spec.P.coeffs)) < 1e-9
+                and abs(res.spec.tau - spec.tau) < 1e-9,
+                "three-node prescription misses the (P, tau) it was drawn from",
+            )
 
     # Schur-Cohn verdict vs companion-matrix root locations
     checked = 0

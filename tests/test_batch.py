@@ -9,7 +9,6 @@ import pytest
 from circlequad import TOL, MeasureSpec, from_zeros, scan_tau, tau_pencil
 from circlequad.errors import CircleQuadError
 from circlequad.opuc import TWO_PI, schur_cohn_rows
-from circlequad.prescribe import _f_values, _vandermonde
 from circlequad.qpopuc import assemble_rows
 from circlequad.quadrature import (
     _BLOCK,
@@ -27,7 +26,7 @@ from circlequad.quadrature import (
     weights_rows,
 )
 
-from conftest import _classify, chain, unit
+from circlequad_helpers import _classify, chain, direct_coefficients, unit
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 ARC = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
@@ -81,16 +80,6 @@ def spread_nodes(rng, count):
         if np.min(np.diff(np.concatenate([t, [t[0] + TWO_PI]]))) > 0.3:
             return [unit(float(x)) for x in t]
     return []
-
-
-def direct_coefficients(deltas, n, ell, alphas, tau):
-    """P's low coefficients from the coupled system in (p, conj(p)) at tau."""
-    az = np.array([a.z for a in alphas])
-    f = _f_values(deltas, n, ell, alphas)
-    v = _vandermonde(az, ell)
-    d = az**ell
-    m_full = np.hstack([v, tau * (f * d)[:, None] * np.conj(v)])
-    return np.linalg.solve(m_full, -tau * f - d)[:ell]
 
 
 class TestTauPencil:

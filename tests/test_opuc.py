@@ -31,7 +31,7 @@ from circlequad.errors import (
 from circlequad.measures import MeasureSpec, moments
 from circlequad.opuc import TWO_PI, random_unit_points, wrap_theta
 
-from conftest import chain
+from circlequad_helpers import chain
 
 
 def cmv_eigenvalues(alpha):

@@ -9,6 +9,7 @@ from circlequad import (
     MeasureSpec,
     QpopucSpec,
     UnitPoint,
+    assemble,
     classical_arc,
     from_zeros,
     lobatto2,
@@ -28,9 +29,10 @@ from circlequad.errors import (
 from circlequad.poly import ONE
 from circlequad.qpopuc import orthogonality_params
 
-from conftest import chain, random_tau, unit
+from circlequad_helpers import chain, random_tau, unit
 
 SQ2 = math.sqrt(2.0)
+ARC = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
 
 
 def _admissible_random_spec(deltas, n, ell, rng):
@@ -129,16 +131,38 @@ class TestThreeNodes:
         assert abs(res.diagnostics["eta"] - (1 + 1j) * (1 - 1 / SQ2)) < 1e-12
         assert abs(res.spec.tau - cmath.exp(0.75j * math.pi)) < 1e-12
 
-    def test_round_trip_from_zeros(self, rogers_half, rng):
-        n = 7
-        mu, deltas = chain(rogers_half, n, 1)
+    @pytest.mark.parametrize(
+        "measure, n_max",
+        [(ARC, 12), (MeasureSpec("rogers_szego", q=0.3), 30), (MeasureSpec("rogers_szego", q=0.8), 30)],
+        ids=["arc", "rs-0.3", "rs-0.8"],
+    )
+    def test_round_trip_from_zeros(self, measure, n_max, rng):
+        # three zeros of a stable spec give it back; three circle zeros of
+        # an unstable one (|eta| > 1, orientation mismatch) give its eta
+        # back as an inadmissible result
         for _ in range(10):
+            n = int(rng.integers(5, n_max + 1))
+            mu, deltas = chain(measure, n, 1)
             spec, pts = _admissible_random_spec(deltas, n, 1, rng)
             picks = rng.choice(n, size=3, replace=False)
             res = three_nodes(deltas, n, [pts[i] for i in picks])
             assert res.admissible
             assert abs(res.spec.tau - spec.tau) < 1e-9
             assert np.allclose(res.spec.P.coeffs, spec.P.coeffs, atol=1e-9)
+
+            eta = rng.uniform(1.2, 3.0) * random_tau(rng)
+            q = assemble(QpopucSpec(n, 1, from_zeros([eta]), random_tau(rng)), deltas)
+            on_circle = [z for z in q.roots() if abs(abs(z) - 1.0) < 1e-8]
+            picks = rng.choice(len(on_circle), size=3, replace=False)
+            res = three_nodes(deltas, n, [UnitPoint.from_complex(on_circle[i]) for i in picks])
+            assert not res.admissible and res.spec is None
+            assert abs(res.diagnostics["eta"] - eta) < 1e-8 * abs(eta)
+
+    def test_rejects_more_nodes_than_n(self, rogers_half):
+        # 2*ell + 1 = 3 nodes need n >= 3
+        mu, deltas = chain(rogers_half, 2, 1)
+        with pytest.raises(InvalidParameterError):
+            three_nodes(deltas, 2, [unit(0.0), unit(2.0), unit(4.0)])
 
     def test_orientation_mismatch_inadmissible(self, rogers_half, rng):
         # swapping two zeros of an admissible triple reverses orientation of
@@ -229,6 +253,18 @@ class TestPrescribe2lp1:
             assert np.max(np.abs(q(z))) < 1e-10 * q.max_abs_coeff()
             admissible += res.admissible
         assert admissible <= 5
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_symmetric_nodes_closed_form(self, lebesgue, ell):
+        # Lebesgue, n = 2*ell + 1 equally spaced nodes e^{i(0.1 + 2 pi k/n)}:
+        # P = z**ell with zero low coefficients, and tau = -e^{0.1 i n}
+        n = 2 * ell + 1
+        mu, deltas = chain(lebesgue, n, ell)
+        alphas = [unit(0.1 + 2 * math.pi * k / n) for k in range(n)]
+        res = prescribe_2lp1(deltas, n, ell, alphas)
+        assert res.admissible
+        assert np.allclose(res.spec.P.coeffs, [0.0] * ell + [1.0], atol=1e-12)
+        assert abs(res.spec.tau + cmath.exp(0.1j * n)) < 1e-12
 
     def test_rejects_bad_arity(self, rogers_half):
         mu, deltas = chain(rogers_half, 9, 2)

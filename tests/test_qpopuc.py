@@ -24,7 +24,7 @@ from circlequad.errors import (
 from circlequad.opuc import TWO_PI
 from circlequad.poly import ONE
 
-from conftest import chain, random_tau
+from circlequad_helpers import chain, random_tau
 
 
 class TestSpecValidation:

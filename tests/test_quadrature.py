@@ -37,7 +37,7 @@ from circlequad.quadrature import (
 )
 from circlequad.opuc import TWO_PI, wrap_theta
 
-from conftest import chain, random_tau, unit
+from circlequad_helpers import chain, random_tau, unit
 
 
 def lebesgue_rule(n=4, tau=1.0 + 0j):
