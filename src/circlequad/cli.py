@@ -52,6 +52,8 @@ def parse_unimodular(text: str) -> complex:
     if "," in text:
         re, im = (float(p) for p in text.split(",", 1))
         z = complex(re, im)
+        # looser than TOL.on_circle: a typed pair carries few digits, and
+        # the point is normalised onto the circle below
         if abs(abs(z) - 1.0) > 1e-9:
             raise InvalidParameterError(f"|{text}| = {abs(z)} is not 1")
         return z / abs(z)
@@ -177,10 +179,6 @@ def cmd_zeros(args) -> int:
 def cmd_scan_tau(args) -> int:
     measure = parse_measure_flag(args.measure)
     nodes = [UnitPoint.from_theta(parse_angle(t)) for t in args.prescribe or []]
-    if len(nodes) != 2 * args.ell:
-        raise InvalidParameterError(
-            f"scan-tau needs exactly 2*ell = {2 * args.ell} prescribed nodes"
-        )
     scan = scan_tau(measure, args.n, args.ell, nodes, grid_size=args.grid)
     counts = {}
     for lab in scan.labels:

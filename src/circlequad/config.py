@@ -1,7 +1,10 @@
 """Centralized numerical tolerances.
 
-Every threshold used by the library lives here so that the disk/circle
-membership bands can be tightened or relaxed in one place.
+The thresholds the library shares live here, so that the disk/circle
+membership bands can be tightened or relaxed in one place. A threshold
+that belongs to one computation alone stays in its module, with a
+comment saying why no field here serves; ``tests/test_config.py`` checks
+both.
 """
 
 from dataclasses import dataclass
@@ -33,8 +36,6 @@ class Tolerances:
     weight_sum: float = 1e-10
     # coupled prescription solve: |conj block - conj(p)|, relative to 1 + max|p|
     coupling: float = 1e-10
-    # direct vs. elimination prescription solves, relative to 1 + max|p|
-    solve_agreement: float = 1e-8
     # nodal residual |Q(alpha_i)|, relative to max coefficient
     node_residual: float = 1e-9
     # 1-norm condition number above which linear systems are refused

@@ -33,6 +33,8 @@ class ArcSpec:
     b: UnitPoint
 
     def __post_init__(self):
+        # one point up to the rounding of e^{i theta}; TOL.node_distinct
+        # (1e-12) is the gap between prescribed nodes, not an arc length
         if abs(self.a.z - self.b.z) < 1e-14:
             raise InvalidParameterError("arc endpoints must be distinct")
 
@@ -177,6 +179,8 @@ def modified_hat_moments(
     s = cmath.sqrt(np.conj(az * bz))
     for branch in (s, -s):
         h0 = branch * raw[0]
+        # the wrong branch gives a negative mu_hat_0; the right one is real
+        # up to the cancellation in the three-term combination
         if h0.real > 0 and abs(h0.imag) <= 1e-10 * abs(h0.real):
             return MomentSequence(branch * raw)
     raise NotPositiveDefiniteError(

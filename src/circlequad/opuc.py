@@ -59,6 +59,8 @@ class UnitPoint:
         theta = float(wrap_theta(theta))
         return UnitPoint(theta, cmath.exp(1j * theta))
 
+    # looser than TOL.on_circle by default: z is normalised onto the
+    # circle here, so only a point clearly off it is refused
     @staticmethod
     def from_complex(z: complex, tol: float = 1e-9) -> "UnitPoint":
         if abs(abs(z) - 1.0) > tol:
@@ -110,6 +112,8 @@ class MomentSequence:
         object.__setattr__(self, "mu", mu)
         if len(mu) == 0:
             raise InvalidParameterError("empty moment sequence")
+        # relative: mu_0 of a positive measure is real, up to the rounding
+        # of a computed or file-read value
         if abs(mu[0].imag) > 1e-12 * max(1.0, abs(mu[0])) or mu[0].real <= 0:
             raise NotPositiveDefiniteError(f"mu_0 = {mu[0]} must be real positive")
 

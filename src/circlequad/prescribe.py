@@ -113,24 +113,20 @@ def lobatto2(
 ) -> PrescriptionResult:
     """Two prescribed nodes, free tau (ell = 1).
 
-    Generic case: the single zero of P is eta = c12 + tau * a12 with
+    Generic case: the single zero of P is eta = c12 + tau * a12, read
+    off the ell = 1 ``tau_pencil``; in closed form
     conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
-    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2), the ell = 1 case of the
-    ``tau_pencil`` elimination. Admissible iff |eta| < 1, outside the
-    Schur-Cohn boundary band. In the degenerate case f1 a1 = f2 a2 only
-    one tau works and eta is free along the chord between the nodes
-    (parameter ``t``).
+    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2). Admissible iff |eta| < 1,
+    outside the Schur-Cohn boundary band. In the degenerate case
+    f1 a1 = f2 a2 only one tau works and eta is free along the chord
+    between the nodes (parameter ``t``).
     """
     pencil = tau_pencil(deltas, n, 1, [alpha1, alpha2])
     pencil.require_solvable()
     a1, a2 = pencil.nodes
     f1, f2 = pencil.f
     diagnostics = {"f_values": [f1, f2], "degenerate_case": pencil.degenerate}
-    p, admitted = pencil.lobatto_rows([tau], t)
-    if not admitted[0]:
-        raise NoSolutionError(
-            f"degenerate configuration requires tau = {pencil.tau_required}, got {tau}"
-        )
+    p = _pencil_row(pencil, tau, t)
     if pencil.degenerate and not (0.0 < t < 1.0):
         raise InvalidParameterError("chord parameter t must lie in (0, 1)")
     if not pencil.degenerate:
@@ -148,8 +144,8 @@ def lobatto2(
             diagnostics["tau_arc"] = ArcSpec(
                 UnitPoint.from_complex(y), UnitPoint.from_complex(x)
             )
-    diagnostics["eta"] = complex(-p[0, 0])
-    spec = QpopucSpec(n, 1, ComplexPoly(p[0]), tau)
+    diagnostics["eta"] = complex(-p[0])
+    spec = QpopucSpec(n, 1, ComplexPoly(p), tau)
     admissible = _schur_admissible(spec.P, diagnostics)
     if admissible:
         _check_residual(spec, deltas, [alpha1, alpha2], TOL.node_residual)
@@ -226,7 +222,7 @@ def _vandermonde(points, cols):
 
 def _solve(m, rhs):
     """np.linalg.solve, with NaN for an exactly singular matrix; the
-    condition numbers and agreement checks then refuse the result."""
+    condition number or the coupling check then refuses the result."""
     try:
         return np.linalg.solve(m, rhs)
     except np.linalg.LinAlgError:
@@ -241,10 +237,9 @@ class TauPencil:
     in (p, conj(p)), and tau only scales the conj(p) columns: the coupled
     matrix is M(tau) = M diag(I, tau I). One solve with M therefore gives
     the low coefficients of the monic P as p(tau) = tau a + b, and the
-    conj(p) block as a_conj + conj(tau) b_conj. The Schur-complement
-    elimination gives the same pencil (a_elim, b_elim) a second way; it
-    is the check on the coupled solve, and for two nodes, where it is the
-    closed form of ``lobatto2``, it is the pencil itself.
+    conj(p) block as a_conj + conj(tau) b_conj; that block must come out
+    as conj(p), which is the check on the solve. Two nodes with
+    f1 a1 = f2 a2 make M singular (``degenerate``): only one tau works.
     """
 
     ell: int
@@ -254,14 +249,11 @@ class TauPencil:
     b: np.ndarray
     a_conj: np.ndarray  # conj(p) block of the coupled solve
     b_conj: np.ndarray
-    a_elim: np.ndarray  # p(tau) from the elimination
-    b_elim: np.ndarray
     cond: float  # 1-norm condition number of M, the same for every tau
-    cond_elim: float  # 1-norm condition number of the eliminated ell x ell system
 
     @property
     def degenerate(self) -> bool:
-        """ell = 1 with f1 a1 = f2 a2: the elimination is singular."""
+        """ell = 1 with f1 a1 = f2 a2: the coupled matrix is singular."""
         if self.ell != 1:
             return False
         (a1, a2), (f1, f2) = self.nodes, self.f
@@ -287,42 +279,28 @@ class TauPencil:
                 "limit; the node/Blaschke configuration is (near-)singular"
             )
 
-    def coefficients(self, tau) -> np.ndarray:
-        """Monic P coefficients (batch, ell + 1), low-to-high, per tau."""
-        p = np.asarray(tau)[:, None] * self.a + self.b
-        return np.concatenate([p, np.ones((len(p), 1))], axis=1)
-
-    def defects(self, tau):
-        """Per tau, the coupled solve checked: (coupling_ok, agree_ok,
-        coupling). Its conj(p) block must equal conj(p), and p must equal
-        the elimination's, each relative to 1 + max |p|."""
-        tau = np.asarray(tau)[:, None]
-        p = tau * self.a + self.b
-        scale = 1.0 + np.max(np.abs(p), axis=1)
-        coupling = np.max(np.abs(self.a_conj + np.conj(tau) * self.b_conj - np.conj(p)), axis=1)
-        agree = np.max(np.abs(tau * self.a_elim + self.b_elim - p), axis=1)
-        return (
-            coupling <= TOL.coupling * scale,
-            agree <= TOL.solve_agreement * scale,
-            coupling,
-        )
-
-    def lobatto_rows(self, tau, t: float = 0.5):
-        """ell = 1: P coefficients per tau, and which taus the nodes admit.
-        A degenerate configuration admits only ``tau_required`` and puts
-        eta = a1 + t (a2 - a1) on the chord; any other admits every tau."""
+    def rows(self, tau, t: float = 0.5):
+        """Per tau: the monic P coefficients (batch, ell + 1), low-to-high,
+        and whether the row is valid. A row of the solve is valid when its
+        conj(p) block equals conj(p) within ``TOL.coupling``, relative to
+        1 + max |p|. A degenerate pencil admits only ``tau_required`` and
+        puts eta = a1 + t (a2 - a1) on the chord between the nodes."""
         tau = np.asarray(tau)
-        if not self.degenerate:
-            return self.coefficients(tau), np.ones(len(tau), dtype=bool)
-        a1, a2 = self.nodes
-        p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
-        return p, np.abs(tau - self.tau_required) <= TOL.lobatto_tau
+        if self.degenerate:
+            a1, a2 = self.nodes
+            p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
+            return p, np.abs(tau - self.tau_required) <= TOL.lobatto_tau
+        p = tau[:, None] * self.a + self.b
+        coupling = np.max(
+            np.abs(self.a_conj + np.conj(tau[:, None]) * self.b_conj - np.conj(p)), axis=1
+        )
+        ok = coupling <= TOL.coupling * (1.0 + np.max(np.abs(p), axis=1))
+        return np.concatenate([p, np.ones((len(p), 1))], axis=1), ok
 
 
 def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     """Factor the 2*ell-node prescription once: the f-values in one
-    Blaschke evaluation, the coupled solve, the Vandermonde/elimination
-    solves and both condition numbers.
+    Blaschke evaluation, then the coupled solve and its condition number.
 
     Raises ``InvalidParameterError`` for a wrong node count or
     coinciding nodes; every other refusal is left to the caller.
@@ -331,29 +309,23 @@ def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     f = _f_values(deltas, n, ell, alphas)
     v = _vandermonde(az, ell)
     d = az**ell
-
     coupled_m = np.hstack([v, (f * d)[:, None] * np.conj(v)])
     cond = float(abs(np.linalg.cond(coupled_m, 1)))
     # columns: the parts of the solution scaling with tau and free of it
-    coupled = _solve(coupled_m, -np.column_stack([f, d]))
+    x = _solve(coupled_m, -np.column_stack([f, d]))
+    return TauPencil(ell, az, f, x[:ell, 0], x[:ell, 1], x[ell:, 0], x[ell:, 1], cond)
 
-    # Schur-complement elimination: conj(p) from each half of the rows
-    halves = [
-        _solve(
-            np.conj(v[h]),
-            np.column_stack([np.conj(d[h] * f[h])[:, None] * v[h], np.conj(d[h]), np.conj(f[h])]),
+
+def _pencil_row(pencil: TauPencil, tau: complex, t: float = 0.5) -> np.ndarray:
+    """P's coefficients at one tau, or the refusal of an invalid row."""
+    p, ok = pencil.rows([tau], t)
+    if ok[0]:
+        return p[0]
+    if pencil.degenerate:
+        raise NoSolutionError(
+            f"degenerate configuration requires tau = {pencil.tau_required}, got {tau}"
         )
-        for h in (slice(0, ell), slice(ell, 2 * ell))
-    ]
-    w = halves[0] - halves[1]
-    m_elim = w[:, :ell]
-    cond_elim = float(abs(np.linalg.cond(m_elim, 1)))
-    elim = -_solve(m_elim, w[:, ell:])
-    pencil = elim if ell == 1 else coupled[:ell]
-    return TauPencil(
-        ell, az, f, pencil[:, 0], pencil[:, 1], coupled[ell:, 0], coupled[ell:, 1],
-        elim[:, 0], elim[:, 1], cond, cond_elim,
-    )
+    raise InternalConsistencyError(f"conjugate coupling of the solve violated at tau = {tau}")
 
 
 def prescribe_2l(
@@ -362,10 +334,9 @@ def prescribe_2l(
     """2*ell prescribed nodes with given tau.
 
     Evaluates the ``tau_pencil`` of the interpolation conditions
-    P(a_i) + tau f_i P*(a_i) = 0, the coupled solve in (p, conj(p)), and
-    checks its conjugate coupling and its agreement with the
-    Schur-complement elimination. Admissible iff P passes the Schur-Cohn
-    test.
+    P(a_i) + tau f_i P*(a_i) = 0, the coupled solve in (p, conj(p)), at
+    tau, with its conjugate coupling checked. Admissible iff P passes the
+    Schur-Cohn test. Two nodes go through ``lobatto2``.
     """
     if len(alphas) != 2 * ell or ell < 1:
         raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
@@ -373,15 +344,7 @@ def prescribe_2l(
         return lobatto2(deltas, n, alphas[0], alphas[1], tau)
     pencil = tau_pencil(deltas, n, ell, alphas)
     pencil.require_solvable()
-    coupling_ok, agree_ok, coupling = pencil.defects([tau])
-    if not coupling_ok[0]:
-        raise InternalConsistencyError(
-            f"conjugate coupling violated by {coupling[0]:.3e}"
-        )
-    if not agree_ok[0]:
-        raise InternalConsistencyError("elimination and direct solves disagree")
-
-    poly = ComplexPoly(pencil.coefficients([tau])[0])
+    poly = ComplexPoly(_pencil_row(pencil, tau))
     diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
     admissible = _schur_admissible(poly, diagnostics)
     spec = QpopucSpec(n, ell, poly, tau)
@@ -452,7 +415,7 @@ def _odd_solve(deltas: SchurSequence, n: int, ell: int, alphas):
         )
     tau /= abs(tau)
     scatter = float(np.max(np.abs(q - tau * np.conj(full[::-1]))))
-    if scatter > 1e-8 * scale:
+    if scatter > 1e-8 * scale:  # tau's error enters, as above
         raise InternalConsistencyError(
             f"conjugate-reversal structure violated by {scatter:.3e}"
         )
@@ -461,7 +424,7 @@ def _odd_solve(deltas: SchurSequence, n: int, ell: int, alphas):
     poly = ComplexPoly(full)
     p_star = poly.reciprocal(ell)
     hom = np.abs(lam * poly(az) + f * np.conj(lam) * p_star(az))
-    if np.max(hom) > 1e-9 * scale:
+    if np.max(hom) > 1e-9 * scale:  # tau's error enters, as above
         raise InternalConsistencyError(
             f"homogeneous residual {np.max(hom):.3e} after tau recovery"
         )
@@ -535,7 +498,7 @@ def tau_for_omega(
 ):
     """Invariance parameters tau realizing a target omega.
 
-    The 2*ell-node system makes P(0) affine in tau, P(0) = A tau + B;
+    The 2*ell-node ``tau_pencil`` makes P(0) affine in tau, P(0) = A tau + B;
     substituting into the closed form for omega yields one quadratic in
     tau, so there are at most two solutions on the circle. Returns
     (solutions, degenerate) where degenerate means omega does not depend
@@ -545,16 +508,18 @@ def tau_for_omega(
         raise InvalidParameterError("|omega| must equal 1")
     if len(alphas) != 2 * ell:
         raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
-    delta = complex(deltas.delta[n - ell])
+    if 2 * ell + 1 > n:
+        raise InvalidParameterError("need 2*ell + 1 <= n")
+    delta = complex(deltas.params(n - ell)[-1])
     if ell == 0:
         a_coef, b_coef = 0.0 + 0.0j, 1.0 + 0.0j
     else:
         pencil = tau_pencil(deltas, n, ell, alphas)
-        if not pencil.cond_elim <= TOL.condition_limit:
+        if not pencil.cond <= TOL.condition_limit:
             raise ConditionViolationError(
-                f"tau-parametrized system condition {pencil.cond_elim:.3e} exceeds limit"
+                f"tau-parametrized system condition {pencil.cond:.3e} exceeds limit"
             )
-        a_coef, b_coef = complex(pencil.a_elim[0]), complex(pencil.b_elim[0])
+        a_coef, b_coef = complex(pencil.a[0]), complex(pencil.b[0])
 
     d_big = np.conj(delta)
     scale = max(abs(a_coef), abs(b_coef), 1.0)
@@ -576,16 +541,15 @@ def tau_for_omega(
     roots = np.roots(coeffs[np.argmax(np.abs(coeffs) > 0) :]) if np.any(coeffs != 0) else []
     out = []
     for r in np.atleast_1d(roots):
-        if abs(abs(r) - 1.0) > 1e-10:
+        if abs(abs(r) - 1.0) > 1e-10:  # a root on the circle
             continue
         tau = complex(r / abs(r))
         realized = _omega_from_p0(a_coef, b_coef, tau, delta)
-        if realized is not None and abs(realized - omega) <= 1e-9:
+        if realized is not None and abs(realized - omega) <= 1e-9:  # omega attained
             out.append(tau)
-    # merge near-duplicates (double roots)
     unique = []
     for tau in out:
-        if all(abs(tau - u) > 1e-9 for u in unique):
+        if all(abs(tau - u) > 1e-9 for u in unique):  # merge double roots
             unique.append(tau)
     return unique[:2], False
 

@@ -147,10 +147,12 @@ def invariance_parameter(q: ComplexPoly) -> complex:
     if not q.is_monic(tol=TOL.monic):
         raise InvalidParameterError("invariance parameter requires a monic polynomial")
     tau = complex(q.coeffs[0])
+    # both checks looser than TOL.unit_point: an assembled Q carries the
+    # rounding of the Szego recursion in every coefficient
     if abs(abs(tau) - 1.0) > 1e-11:
         raise InvarianceError(f"|Q(0)| = {abs(tau)} is not 1; Q is not invariant")
-    n = q.degree
     diff = q.coeffs - tau * np.conj(q.coeffs[::-1])
+    # relative to Q's largest coefficient, for the same reason
     if np.max(np.abs(diff)) > 1e-11 * q.max_abs_coeff():
         raise InvarianceError("coefficients violate Q = tau * Q*")
     return tau

@@ -20,9 +20,10 @@ import numpy as np
 
 from .config import TOL
 from .errors import (
-    CircleQuadError,
+    ConditionViolationError,
     InvalidParameterError,
     NodesNotQuadratureError,
+    NoSolutionError,
     NotRepresentableError,
     PositivityViolationError,
 )
@@ -284,7 +285,9 @@ class _Scan:
     ``build_rule`` give it point by point, computed a block at a time
     through the batch kernels; each check of that per-point chain is a
     per-row mask here. Rows whose P fails Schur-Cohn skip the node solve
-    and the weights (``_root_codes``).
+    and the weights (``_root_codes``). Malformed input (node count, n,
+    coinciding nodes) raises; only the tau-free refusals of
+    ``TauPencil.require_solvable`` make every point boundary-degenerate.
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
@@ -297,14 +300,16 @@ class _Scan:
         self.nodes = np.array([a.z for a in alphas], dtype=complex)
         self.pencil = None
         self.refused = False  # a tau-free refusal: every point is boundary
-        try:
-            if ell == 0:
-                QpopucSpec(n, 0, ONE, 1.0 + 0.0j)  # validates n as every point would
-            else:
-                self.pencil = tau_pencil(self.deltas, n, ell, alphas)
+        if ell == 0:
+            if len(alphas):
+                raise InvalidParameterError("ell = 0 takes no prescribed nodes")
+            QpopucSpec(n, 0, ONE, 1.0 + 0.0j)  # raises for an n that has no rule
+        else:
+            self.pencil = tau_pencil(self.deltas, n, ell, alphas)
+            try:
                 self.pencil.require_solvable()
-        except CircleQuadError:
-            self.refused = True
+            except (NoSolutionError, ConditionViolationError):
+                self.refused = True
 
     def labels(self, thetas) -> np.ndarray:
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
@@ -325,12 +330,7 @@ class _Scan:
             ok = np.ones(len(tau), dtype=bool)
             admissible = np.ones(len(tau), dtype=bool)
         else:
-            if ell == 1:
-                p, ok = self.pencil.lobatto_rows(tau)
-            else:
-                coupling_ok, agree_ok, _ = self.pencil.defects(tau)
-                ok = coupling_ok & agree_ok
-                p = self.pencil.coefficients(tau)
+            p, ok = self.pencil.rows(tau)
             kappas, stable, band = schur_cohn_rows(p)
             ok &= ~band
             admissible = stable & ~band
@@ -378,6 +378,11 @@ def scan_tau(
     with the positive classification are merged into maximal arcs (with
     wraparound), and every arc end is refined by bisection, all ends in
     lockstep, to the configured angular resolution.
+
+    Malformed input raises ``InvalidParameterError``: a node count other
+    than 2*ell, 2*ell + 1 > n or coinciding nodes. A configuration the
+    prescription refuses for every tau labels every point
+    boundary-degenerate.
     """
     if grid_size < 8:
         raise InvalidParameterError("grid_size must be at least 8")

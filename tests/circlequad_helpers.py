@@ -47,6 +47,32 @@ def direct_coefficients(deltas, n, ell, alphas, tau):
     return np.linalg.solve(m_full, -tau * f - d)[:ell]
 
 
+def elimination_pencil(deltas, n, ell, alphas):
+    """(a, b) with P's low coefficients p(tau) = tau a + b, found without
+    the coupled (p, conj(p)) solve of ``tau_pencil``.
+
+    The interpolation conditions read V p + tau f d conj(V p) = -(d + tau f)
+    (V the Vandermonde rows, d = a**ell). Conjugated, each half of the
+    2*ell rows gives conj(p) through an ell x ell Vandermonde solve;
+    equating the two halves (a Schur complement) leaves ell equations in
+    p alone. For two nodes this is ``lobatto2``'s closed form.
+    """
+    az = np.array([a.z for a in alphas])
+    f = _f_values(deltas, n, ell, alphas)
+    v = _vandermonde(az, ell)
+    d = az**ell
+    halves = [
+        np.linalg.solve(
+            np.conj(v[h]),
+            np.column_stack([np.conj(d[h] * f[h])[:, None] * v[h], np.conj(d[h]), np.conj(f[h])]),
+        )
+        for h in (slice(0, ell), slice(ell, 2 * ell))
+    ]
+    w = halves[0] - halves[1]
+    ab = -np.linalg.solve(w[:, :ell], w[:, ell:])
+    return ab[:, 0], ab[:, 1]
+
+
 def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
     """One scanner grid point -> classification label.
 

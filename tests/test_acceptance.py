@@ -40,7 +40,7 @@ from circlequad.opuc import TWO_PI
 from circlequad.poly import ONE, ComplexPoly
 from circlequad.quadrature import RED_SCHUR, RED_WEIGHTS
 
-from circlequad_helpers import _classify, direct_coefficients
+from circlequad_helpers import _classify, elimination_pencil
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 
@@ -309,21 +309,22 @@ def test_criterion_5_oracle_equivalences():
     failures = []
     rng = np.random.default_rng(51)
 
-    # lobatto2 vs the coupled (p, conj p) solve at the same tau; three_nodes
-    # and prescribe_2lp1 vs a round trip: three zeros of an admissible
-    # (P, tau) must give that (P, tau) back
+    # lobatto2 vs the Schur-complement elimination (its closed form) at the
+    # same tau; three_nodes and prescribe_2lp1 vs a round trip: three zeros
+    # of an admissible (P, tau) must give that (P, tau) back
     n = 7
     mu, deltas = moment_chain(RS_HALF, n, 1)
     for _ in range(10):
         a = [UnitPoint.from_theta(t) for t in rng.uniform(0, TWO_PI, size=2)]
         tau = cmath.exp(1j * rng.uniform(0, TWO_PI))
         r1 = lobatto2(deltas, n, a[0], a[1], tau)
-        want = direct_coefficients(deltas, n, 1, a, tau)
+        a_el, b_el = elimination_pencil(deltas, n, 1, a)
+        want = tau * a_el[0] + b_el[0]
         _check(
             failures,
-            abs(r1.spec.P.coeffs[0] - want[0]) < 1e-10
-            and r1.admissible == (abs(want[0]) < 1.0),
-            "lobatto2 and the coupled solve disagree",
+            abs(r1.spec.P.coeffs[0] - want) < 1e-10
+            and r1.admissible == (abs(want) < 1.0),
+            "lobatto2 and the elimination disagree",
         )
         eta = 0.8 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, TWO_PI))
         spec = QpopucSpec(n, 1, from_zeros([eta]), cmath.exp(1j * rng.uniform(0, TWO_PI)))

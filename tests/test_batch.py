@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from circlequad import TOL, MeasureSpec, from_zeros, scan_tau, tau_pencil
+from circlequad import (
+    TOL,
+    MeasureSpec,
+    QpopucSpec,
+    from_zeros,
+    scan_tau,
+    tau_pencil,
+    zeros_on_circle,
+)
 from circlequad.errors import CircleQuadError
 from circlequad.opuc import TWO_PI, schur_cohn_rows
 from circlequad.qpopuc import assemble_rows
@@ -26,7 +34,13 @@ from circlequad.quadrature import (
     weights_rows,
 )
 
-from circlequad_helpers import _classify, chain, direct_coefficients, unit
+from circlequad_helpers import (
+    _classify,
+    chain,
+    direct_coefficients,
+    elimination_pencil,
+    unit,
+)
 
 RS_HALF = MeasureSpec("rogers_szego", q=0.5)
 ARC = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
@@ -91,13 +105,43 @@ class TestTauPencil:
         alphas = spread_nodes(rng, 2 * ell)
         pencil = tau_pencil(deltas, n, ell, alphas)
         taus = np.exp(1j * rng.uniform(0.0, TWO_PI, size=16))
-        coeffs = pencil.coefficients(taus)
+        coeffs, ok = pencil.rows(taus)
+        a, b = elimination_pencil(deltas, n, ell, alphas)
         for tau, row in zip(taus, coeffs):
             want = direct_coefficients(deltas, n, ell, alphas, tau)
             assert np.max(np.abs(row[:ell] - want)) < 1e-10
+            # the independent oracle: conj(p) eliminated, not solved for
+            assert np.max(np.abs(row[:ell] - (tau * a + b))) < 1e-10
             assert row[ell] == 1.0
-        coupling_ok, agree_ok, _ = pencil.defects(taus)
-        assert coupling_ok.all() and agree_ok.all()
+        assert ok.all()
+
+    def test_elimination_is_the_two_node_closed_form(self):
+        # conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
+        # conj(a12) = (a1 - a2) / (f1 a1 - f2 a2), with P = z - c12 - tau a12
+        rng = np.random.default_rng(12)
+        _, deltas = chain(RS_HALF, 7, 1)
+        for _ in range(20):
+            alphas = spread_nodes(rng, 2)
+            a, b = elimination_pencil(deltas, 7, 1, alphas)
+            (a1, a2), (f1, f2) = [x.z for x in alphas], tau_pencil(deltas, 7, 1, alphas).f
+            den = f1 * a1 - f2 * a2
+            assert abs(b[0] + np.conj((f1 - f2) / den)) < 1e-12
+            assert abs(a[0] + np.conj((a1 - a2) / den)) < 1e-12
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+    def test_round_trip_from_zeros(self, ell):
+        # 2*ell zeros of an admissible (P, tau) must give that P back at tau
+        rng = np.random.default_rng(400 + ell)
+        n = 2 * ell + 6
+        _, deltas = chain(RS_HALF, n, ell)
+        for _ in range(10):
+            etas = 0.8 * np.sqrt(rng.uniform(size=ell)) * np.exp(1j * rng.uniform(0, TWO_PI, ell))
+            spec = QpopucSpec(n, ell, from_zeros(etas), cmath.exp(1j * rng.uniform(0, TWO_PI)))
+            pts = zeros_on_circle(spec, deltas)
+            picks = [pts[i] for i in sorted(rng.choice(n, size=2 * ell, replace=False))]
+            rows, ok = tau_pencil(deltas, n, ell, picks).rows([spec.tau])
+            assert ok[0]
+            assert np.max(np.abs(rows[0] - spec.P.coeffs)) < 1e-10
 
     def test_single_blaschke_call_for_f_values(self):
         _, deltas = chain(RS_HALF, 16, 3)
@@ -218,7 +262,7 @@ def close_circle_pair(q) -> bool:
 def unstable_rows(scan, grid):
     """Q of every tau on a grid whose P is Schur-unstable outside the band."""
     tau = np.exp(1j * np.arange(grid) * (TWO_PI / grid))
-    p = scan.pencil.lobatto_rows(tau)[0] if scan.ell == 1 else scan.pencil.coefficients(tau)
+    p = scan.pencil.rows(tau)[0]
     _, stable, band = schur_cohn_rows(p)
     rows = ~stable & ~band
     return assemble_rows(p[rows], tau[rows], scan.rho)

@@ -149,6 +149,19 @@ class TestScanCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "5", "--ell", "2", "--prescribe", "0.3", "0.3", "0.3", "0.3"],
+            ["--n", "5", "--ell", "3", "--prescribe", "0", "1", "2", "3", "4", "5"],
+        ],
+        ids=["coinciding", "ell-too-large"],
+    )
+    def test_malformed_nodes_refused(self, capsys, argv):
+        code, data = run_json(capsys, ["scan-tau", "--measure", "lebesgue", *argv])
+        assert code == 1
+        assert data["condition"] == "invalid-parameter"
+
 
 class TestVerifyCommand:
     def test_round_trip(self, capsys, tmp_path):

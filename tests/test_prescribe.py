@@ -354,3 +354,11 @@ class TestTauForOmega:
         mu, deltas = chain(lebesgue, 4, 0)
         with pytest.raises(InvalidParameterError):
             tau_for_omega(deltas, 4, 0, [], 0.5 + 0j)
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_short_chain_is_invalid_parameter(self, rogers_half, ell):
+        # the chain holds delta_1..delta_4, and n - ell = 6 needs delta_6
+        _, deltas = chain(rogers_half, 5, 1)
+        alphas = [unit(0.5), unit(2.2)][: 2 * ell]
+        with pytest.raises(InvalidParameterError):
+            tau_for_omega(deltas, 6 + ell, ell, alphas, cmath.exp(0.8j))

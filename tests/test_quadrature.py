@@ -28,6 +28,7 @@ from circlequad.errors import (
 from circlequad.poly import ONE
 from circlequad.quadrature import (
     GREEN,
+    RED_BOUNDARY,
     RED_SCHUR,
     RED_WEIGHTS,
     rule_from_dict,
@@ -175,6 +176,28 @@ class TestScan:
     def test_grid_validated(self, lebesgue):
         with pytest.raises(InvalidParameterError):
             scan_tau(lebesgue, 5, 0, [], grid_size=4)
+
+    @pytest.mark.parametrize(
+        "n, ell, angles",
+        [
+            (10, 2, [0.1, 1.2, 2.3]),
+            (10, 2, [0.3] * 4),
+            (5, 3, [0.1, 1.1, 2.1, 3.1, 4.1, 5.1]),
+            (5, 0, [0.3]),
+        ],
+        ids=["node-count", "coinciding", "ell-too-large", "ell-0-with-node"],
+    )
+    def test_malformed_input_raises(self, rogers_half, n, ell, angles):
+        with pytest.raises(InvalidParameterError):
+            scan_tau(rogers_half, n, ell, [unit(a) for a in angles], grid_size=16)
+
+    def test_refused_configuration_is_boundary(self, lebesgue):
+        # Lebesgue: F_3(z) = z**3, so nodes a third of a turn apart share
+        # their Blaschke value, and prescribe_2l refuses every tau
+        alphas = [unit(0.3), unit(0.3 + 2 * math.pi / 3)]
+        scan = scan_tau(lebesgue, 4, 1, alphas, grid_size=16)
+        assert set(scan.labels) == {RED_BOUNDARY}
+        assert scan.arcs == []
 
     def test_rogers_szego_labels(self, rogers_half):
         angles = [-3 * math.pi / 4, -math.pi / 2, 0.0, math.pi / 4, math.pi / 2,
