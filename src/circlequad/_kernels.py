@@ -110,14 +110,28 @@ def split_phase(deltas, theta, target):
     s = np.stack([np.broadcast_to(zc, shape), np.broadcast_to(z, shape)])
     x = np.stack([np.broadcast_to(zc, shape), np.broadcast_to(np.conj(target) * z, shape)])
     kappa = np.array([0.0, 1.0]).reshape((2,) + (1,) * (x.ndim - 1))
-    slope, arg = 1.0 - kappa, np.zeros((2,) + (1,) * (x.ndim - 1))
+    rest = 1.0 - kappa
+    slope, arg = np.empty(x.shape), np.zeros(x.shape)
+    slope[...] = rest
+    # each step updates these buffers in place, in the operation order of
+    # x <- x s conj(y) / y and of the slope update above, so it allocates
+    # nothing and rounds as those expressions do
+    y, w = np.empty_like(x), np.empty_like(x)
+    yr, yi = y.real, y.imag
+    term, abs2 = np.empty(x.shape), np.empty(x.shape)
     for ej, cj in zip(e, shrink):
-        y = ej * x
+        np.multiply(ej, x, out=y)
         y += 1.0
-        yr, yi = y.real, y.imag
-        x = x * s * np.conj(y) / y
-        arg = arg + np.arctan2(yi, yr)
-        slope = (slope + kappa) * cj / (yr * yr + yi * yi) + (1.0 - kappa)
+        x *= s
+        x *= np.conjugate(y, out=w)
+        x /= y
+        arg += np.arctan2(yi, yr, out=term)
+        np.multiply(yr, yr, out=abs2)
+        abs2 += np.multiply(yi, yi, out=term)
+        slope += kappa
+        slope *= cj
+        slope /= abs2
+        slope += rest
     (fc, h), (dpsi, dchi), arg = x, slope, arg[0] - arg[1]
     if n % 2 == 0:  # delta_k is left to one more backward step
         d = steps[pairs]

@@ -173,8 +173,7 @@ def modified_hat_moments(
             f"need base moments to order {order + 1}, have {mu.order}"
         )
     az, bz = a.z, b.z
-    k = np.arange(-1, order + 2)
-    base = np.array([mu.get(int(i)) for i in k])
+    base = mu.array(-1, order + 1)
     raw = base[2:] - (az + bz) * base[1:-1] + az * bz * base[:-2]
     s = cmath.sqrt(np.conj(az * bz))
     for branch in (s, -s):

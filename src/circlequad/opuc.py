@@ -128,8 +128,16 @@ class MomentSequence:
         return complex(self.mu[i]) if k >= 0 else complex(np.conj(self.mu[i]))
 
     def array(self, lo: int, hi: int) -> np.ndarray:
-        """Moments mu_lo..mu_hi as a dense array."""
-        return np.array([self.get(k) for k in range(lo, hi + 1)])
+        """Moments mu_lo..mu_hi as a dense array: the conjugated, reversed
+        mu_{|k|} for k < 0, then mu_k for k >= 0. Raises, as ``get`` does,
+        for the first k from lo upward beyond the available order."""
+        if hi < lo:
+            return np.empty(0, dtype=complex)
+        if max(-lo, hi) > self.order:
+            k = lo if abs(lo) > self.order else self.order + 1
+            raise MomentRangeError(f"moment {k} beyond available order {self.order}")
+        neg = np.conj(self.mu[max(1, -hi) : max(1, 1 - lo)][::-1])
+        return np.concatenate([neg, self.mu[max(0, lo) : max(0, hi + 1)]])
 
 
 @dataclass(frozen=True)
@@ -258,6 +266,10 @@ def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
 # for the Newton steps that ``_solve_angles`` takes between bisections
 _ROOT_STEPS = 100
 
+# chains whose bracketing grid is evaluated at once, so that the grid's
+# phase arrays hold at most 64 * 4n angles whatever the batch size
+_BRACKET_ROWS = 64
+
 
 def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     """The n solutions of F_n(e^{i theta}) = target per chain, unsorted:
@@ -266,46 +278,30 @@ def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     The split phase residual r of ``split_phase`` increases strictly by
     2 pi n around the circle, and the solutions are its crossings of the
     n levels 2 pi j in [r(0), r(0) + 2 pi n). One evaluation on a grid of
-    4n cells brackets each level in its own cell. Each root then takes
-    Newton steps on the wrapped residual, with the branch taken from r,
-    starting from the cell end nearer in phase. It bisects its bracket
-    instead when a step would leave the closed bracket, or would go back
-    by more than half the last step (Newton cycling between the ends of a
-    bracket, on a strongly curved phase). Each root stops on its own once
-    its step is below
+    4n cells, taken _BRACKET_ROWS chains at a time, brackets each level in
+    its own cell. Each root then takes Newton steps on the wrapped
+    residual, with the branch taken from r, starting from the cell end
+    nearer in phase. It bisects its bracket instead when a step would
+    leave the closed bracket, or would go back by more than half the last
+    step (Newton cycling between the ends of a bracket, on a strongly
+    curved phase). Each root stops on its own once its step is below
     TOL.bisect_theta or lands on a bracket end, so a row's roots never
-    depend on the rest of its batch.
+    depend on the rest of its batch. A step evaluates only the roots
+    still running, and each chain once for all of its own (``_phase_at``),
+    so the working memory grows with rows * n.
     """
     rows, n = params.shape[0], params.shape[1] + 1
-    cells = 4 * n
-    grid = np.arange(cells + 1) * (TWO_PI / cells)
-    r, _, slope = split_phase(params, grid[:-1], target)
-    # r(theta + 2 pi) = r(theta) + 2 pi n exactly, which keeps every level
-    # inside the grid
-    r = np.concatenate([r, r[:, :1] + TWO_PI * n], axis=1)
-    slope = np.concatenate([slope, slope[:, :1]], axis=1)
-    level = TWO_PI * (np.ceil(r[:, :1] / TWO_PI) + np.arange(n))
-    cell = np.array([np.searchsorted(rr, ll, side="right") for rr, ll in zip(r, level)], dtype=int)
-    cell = np.clip(cell.reshape(rows, n) - 1, 0, cells - 1)
-    lo, hi = grid[cell], grid[cell + 1]
-    res_lo = np.take_along_axis(r, cell, axis=1) - level
-    res_hi = np.take_along_axis(r, cell + 1, axis=1) - level
-    near_lo = np.abs(res_lo) <= np.abs(res_hi)
-    theta = np.where(
-        near_lo,
-        lo - res_lo / np.take_along_axis(slope, cell, axis=1),
-        hi - res_hi / np.take_along_axis(slope, cell + 1, axis=1),
-    )
-    theta = np.where((theta >= lo) & (theta <= hi), theta, 0.5 * (lo + hi))
+    grid = np.arange(4 * n + 1) * (TWO_PI / (4 * n))
+    start = np.empty((5, rows, n))
+    for i in range(0, rows, _BRACKET_ROWS):
+        part = slice(i, i + _BRACKET_ROWS)
+        start[:, part] = _bracket(params[part], target[part], grid)
+    theta, lo, hi, level, last = start.reshape(5, rows * n)
 
-    last = (theta - np.where(near_lo, lo, hi)).ravel()
-    theta, lo, hi, level = (a.ravel() for a in (theta, lo, hi, level))
-    row = np.repeat(np.arange(rows), n)
     active = np.arange(rows * n)
     for _ in range(_ROOT_STEPS):
         th = theta[active]
-        r, wrapped, slope = split_phase(params[row[active]], th[:, None], target[row[active]])
-        r, wrapped, slope = r[:, 0], wrapped[:, 0], slope[:, 0]
+        r, wrapped, slope = _phase_at(params, target, active, th)
         res = wrapped + TWO_PI * np.round((r - level[active] - wrapped) / TWO_PI)
         a = lo[active] = np.where(res < 0.0, th, lo[active])
         b = hi[active] = np.where(res > 0.0, th, hi[active])
@@ -322,6 +318,53 @@ def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
         if not len(active):
             break
     return theta.reshape(rows, n)
+
+
+def _bracket(params, target, grid):
+    """The start of ``_solve_angles`` for a few chains: each root's first
+    angle, its bracket (lo, hi), its level and its last step, (5, rows, n)."""
+    n, cells = params.shape[1] + 1, len(grid) - 1
+    r, _, slope = split_phase(params, grid[:-1], target)
+    # r(theta + 2 pi) = r(theta) + 2 pi n exactly, which keeps every level
+    # inside the grid
+    r = np.concatenate([r, r[:, :1] + TWO_PI * n], axis=1)
+    slope = np.concatenate([slope, slope[:, :1]], axis=1)
+    level = TWO_PI * (np.ceil(r[:, :1] / TWO_PI) + np.arange(n))
+    # r rises along each row, so a stable sort of r followed by the levels
+    # puts each level right after the r <= it: its sorted position less
+    # its own index counts them, as searchsorted(side="right") would
+    order = np.argsort(np.concatenate([r, level], axis=1), axis=1, kind="stable")
+    count = np.nonzero(order > cells)[1].reshape(level.shape) - np.arange(n)
+    cell = np.clip(count - 1, 0, cells - 1)
+    lo, hi = grid[cell], grid[cell + 1]
+    res_lo = np.take_along_axis(r, cell, axis=1) - level
+    res_hi = np.take_along_axis(r, cell + 1, axis=1) - level
+    near_lo = np.abs(res_lo) <= np.abs(res_hi)
+    theta = np.where(
+        near_lo,
+        lo - res_lo / np.take_along_axis(slope, cell, axis=1),
+        hi - res_hi / np.take_along_axis(slope, cell + 1, axis=1),
+    )
+    theta = np.where((theta >= lo) & (theta <= hi), theta, 0.5 * (lo + hi))
+    return theta, lo, hi, level, theta - np.where(near_lo, lo, hi)
+
+
+def _phase_at(params, target, roots, theta):
+    """``split_phase`` at the angles ``theta`` of the roots with flat
+    indices ``roots`` (ascending, row * n + j): the roots of each chain are
+    packed into one row of points, padded with angle 0, so that a chain's
+    parameters are read once per step, not copied for every root."""
+    row = roots // (params.shape[1] + 1)
+    new_row = np.empty(len(roots), dtype=bool)
+    new_row[:1] = True
+    np.not_equal(row[1:], row[:-1], out=new_row[1:])
+    first = np.flatnonzero(new_row)
+    which = np.cumsum(new_row) - 1
+    slot = np.arange(len(roots)) - first[which]
+    points = np.zeros((len(first), slot.max(initial=-1) + 1))
+    points[which, slot] = theta
+    live = row[first]
+    return (a[which, slot] for a in split_phase(params[live], points, target[live]))
 
 
 class CircleRoots(NamedTuple):

@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +61,7 @@ _GREEN, _SCHUR, _WEIGHTS, _BOUNDARY = range(4)
 
 @dataclass(frozen=True)
 class QuadRule:
-    nodes: list  # of UnitPoint
+    nodes: Sequence  # of UnitPoint: UnitPoints when solved, a list when loaded
     weights: np.ndarray  # real, positive for admissible rules
     m: int  # exact on z**k for |k| <= m
     omega: complex | None  # extra exact element z**(m+1) - omega z**-(m+1)
@@ -117,7 +118,9 @@ def weights_rows(z, mu_arr, mu0: float):
     aug[:, : m + 1, :n], aug[:, m + 1 :, :n] = pos.real, pos.imag[:, 1:]
     aug[:, : m + 1, n], aug[:, m + 1 :, n] = mu_pos.real, mu_pos.imag[1:]
     del pos  # [A | b] also gives the residual; keep one copy of A
-    r = np.linalg.qr(aug, mode="r")
+    # "raw" returns the factored copy of [A | b] transposed, R in its
+    # upper triangle, with no triu copy of R
+    r = np.linalg.qr(aug, mode="raw")[0].swapaxes(1, 2)
     # back substitution; a zero pivot leaves NaN weights, which fail the
     # residual check below
     lam = np.zeros((rows, n))
@@ -273,21 +276,30 @@ def _root_codes(q) -> np.ndarray:
     return np.select([band, stable], [_BOUNDARY, _WEIGHTS], _SCHUR)
 
 
-# tau values labelled per batch: this bounds the scan's working memory,
-# and larger blocks are no faster
-_BLOCK = 64
+# node-solve roots per block: ``_Scan.labels`` takes _ROOT_BUDGET // n tau
+# values at a time, so a block's working set, which grows with rows * n,
+# is about the same for every n. perfbench `scan` (n = 16, 10 s runs,
+# 2-core host) read op_p50_ms ~239, ~189 and ~175 and peak_rss_mb ~43.3,
+# ~44.9 and ~48.1 at budgets of 2048, 4096 and 8192 roots, against ~302
+# and ~42.3 for the old fixed blocks of 64 tau. The run keeps every scan,
+# so its memory also grows with speed: 8192 would near the benchmark's
+# 15% memory bound in 30 s runs. A tracemalloc peak of one 256-tau block
+# (``_Scan._block``) is ~2.4 MB
+_ROOT_BUDGET = 4096
 
 
 class _Scan:
     """The tau-free part of one scan: chain, moments, pencil and nodes.
 
     ``labels`` gives every tau the label that ``prescribe_2l`` and
-    ``build_rule`` give it point by point, computed a block at a time
-    through the batch kernels; each check of that per-point chain is a
-    per-row mask here. Rows whose P fails Schur-Cohn skip the node solve
-    and the weights (``_root_codes``). Malformed input (node count, n,
-    coinciding nodes) raises; only the tau-free refusals of
-    ``TauPencil.require_solvable`` make every point boundary-degenerate.
+    ``build_rule`` give it point by point, computed through the batch
+    kernels in blocks of _ROOT_BUDGET // n tau values, so that a block's
+    node solve holds at most _ROOT_BUDGET roots whatever n is; each check
+    of that per-point chain is a per-row mask here. Rows whose P fails
+    Schur-Cohn skip the node solve and the weights (``_root_codes``).
+    Malformed input (node count, n, coinciding nodes) raises; only the
+    tau-free refusals of ``TauPencil.require_solvable`` make every point
+    boundary-degenerate.
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
@@ -313,10 +325,9 @@ class _Scan:
 
     def labels(self, thetas) -> np.ndarray:
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
+        block = max(1, _ROOT_BUDGET // self.n)
         return _LABELS[
-            np.concatenate(
-                [self._block(tau[i : i + _BLOCK]) for i in range(0, len(tau), _BLOCK)]
-            )
+            np.concatenate([self._block(tau[i : i + block]) for i in range(0, len(tau), block)])
         ]
 
     def _block(self, tau) -> np.ndarray:
@@ -370,8 +381,9 @@ def scan_tau(
     """Classify the invariance parameter over a uniform circle grid.
 
     The prescription is factored once as a tau-affine pencil; the grid
-    is then labelled in blocks of 64 tau values through the batch
-    kernels, each block giving the labels that the per-point
+    is then labelled through the batch kernels in blocks sized by a
+    budget of node-solve roots (_ROOT_BUDGET // n tau values, 256 at
+    n = 16), each block giving the labels that the per-point
     prescription and ``build_rule`` give; a tau whose P fails Schur-Cohn
     is labelled by the zeros of Q alone (``_root_codes``), with no
     weights solved. Adjacent grid points

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,9 @@ from circlequad.errors import CircleQuadError
 from circlequad.opuc import TWO_PI, schur_cohn_rows
 from circlequad.qpopuc import assemble_rows
 from circlequad.quadrature import (
-    _BLOCK,
     _BOUNDARY,
     _GREEN,
+    _ROOT_BUDGET,
     _SCHUR,
     _WEIGHTS,
     GREEN,
@@ -163,7 +164,11 @@ class TestBatchedScan:
         assert len(arcs) == len(scan.arcs) == 3
         assert np.max(np.abs(np.subtract(arcs, scan.arcs))) <= TOL.scan_refine
 
-    @pytest.mark.parametrize("grid", [8, 63, _BLOCK, 65, 129])
+    # 64 was the fixed block of an earlier scanner; the block is now
+    # _ROOT_BUDGET // n tau values, 256 at n = 16
+    @pytest.mark.parametrize(
+        "grid", [8, 63, 64, 65, 129] + [_ROOT_BUDGET // 16 + k for k in (-1, 0, 1)]
+    )
     def test_block_edges(self, grid):
         scan = scan_tau(RS_HALF, 16, 3, paper_alphas(), grid_size=grid)
         want = oracle_labels(RS_HALF, 16, 3, paper_alphas(), scan.thetas)
@@ -171,6 +176,31 @@ class TestBatchedScan:
         arcs = oracle_arcs(RS_HALF, 16, 3, paper_alphas(), scan.thetas, want)
         assert len(arcs) == len(scan.arcs)
         assert np.max(np.abs(np.subtract(arcs, scan.arcs)), initial=0.0) <= TOL.scan_refine
+
+    def test_labels_do_not_depend_on_the_slicing(self):
+        scan = _Scan(RS_HALF, 16, 3, paper_alphas())
+        thetas = np.arange(4000) * (TWO_PI / 4000)
+        block = _ROOT_BUDGET // 16
+        parts = np.split(thetas, np.cumsum([1, 7, block - 1, block, block + 1]))
+        got = np.concatenate([scan.labels(part) for part in parts])
+        assert got.tolist() == scan.labels(thetas).tolist()
+
+    def test_block_working_set(self):
+        # 256 tau of the criterion-3 grid whose P are all stable, so every
+        # row takes the node solve and the weights: the heaviest block.
+        # Measured peak 2.37 MB with numpy 2.4; the old 64-tau blocks
+        # peaked at 1.10 MB, and 256-tau blocks on the old node solve at
+        # 4.37 MB
+        scan = _Scan(RS_HALF, 16, 3, paper_alphas())
+        tau = np.exp(1j * (512 + np.arange(_ROOT_BUDGET // 16)) * (TWO_PI / 4000))
+        assert (scan._block(tau) == _GREEN).all()
+        tracemalloc.start()
+        try:
+            scan._block(tau)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     @pytest.mark.parametrize(
         "measure", [MeasureSpec("lebesgue"), RS_HALF, ARC], ids=lambda m: m.label()

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ class TestMomentSequence:
         mu = MomentSequence(np.array([1.0]))
         with pytest.raises(MomentRangeError):
             mu.get(1)
+
+    def test_array_matches_get_loop(self):
+        rng = np.random.default_rng(8)
+        mu = MomentSequence(np.concatenate([[1.5], rng.normal(size=12) + 1j * rng.normal(size=12)]))
+        for _ in range(300):
+            lo, hi = (int(k) for k in np.sort(rng.integers(-14, 15, size=2)))
+            try:
+                want = np.array([mu.get(k) for k in range(lo, hi + 1)])
+            except MomentRangeError as exc:
+                with pytest.raises(MomentRangeError, match=f"^{re.escape(str(exc))}$"):
+                    mu.array(lo, hi)
+                continue
+            assert np.array_equal(mu.array(lo, hi), want)
 
     def test_mu0_must_be_real_positive(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -296,6 +310,23 @@ class TestBlaschke:
         levels = (forward_phase(d, thetas) - cmath.phase(target)) / TWO_PI
         assert np.max(np.abs(levels - np.round(levels))) < 0.1
         assert np.array_equal(np.diff(np.round(levels)), np.ones(n - 1))
+
+    def test_batch_rows_solve_alone(self):
+        # a row's roots never depend on the rest of its batch: 70 rows span
+        # two bracketing chunks, and every third chain ends at |delta| = 0.999
+        rng = np.random.default_rng(31)
+        for n in (5, 16, 40):
+            moduli = rng.uniform(0.0, 0.9, size=(70, n - 1))
+            moduli[::3, -1] = 0.999
+            d = moduli * np.exp(1j * rng.uniform(0.0, TWO_PI, size=moduli.shape))
+            target = np.exp(1j * rng.uniform(0.0, TWO_PI, size=70))
+            batch = opuc.circle_roots(d, target).theta
+            alone = np.array([opuc.circle_roots(d[i], target[i]).theta for i in range(70)])
+            assert np.array_equal(batch, alone)
+
+    def test_empty_batch(self):
+        roots = opuc.circle_roots(np.empty((0, 4)), np.empty(0))
+        assert roots.theta.shape == (0, 5) and roots.resid_ok.shape == (0,)
 
     def test_certificate_catches_duplicate_root(self, monkeypatch):
         s = SchurSequence.from_params(0.5 * np.exp(1j * np.arange(1, 12)))
