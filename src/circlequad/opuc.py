@@ -16,7 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import blaschke_phase_slope, blaschke_values, split_phase
+from ._kernels import (
+    backward_half,
+    blaschke_phase_slope,
+    blaschke_values,
+    forward_half,
+    split_phase,
+)
 from .config import TOL
 from .errors import (
     BoundaryDegenerateError,
@@ -271,31 +277,67 @@ _ROOT_STEPS = 100
 _BRACKET_ROWS = 64
 
 
-def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """The n solutions of F_n(e^{i theta}) = target per chain, unsorted:
-    ``params`` (rows, n - 1), ``target`` (rows, 1) give angles (rows, n).
+@dataclass(frozen=True)
+class ChainBatch:
+    """Chains delta_1..delta_{n-1}, one per row of ``params`` (rows, n - 1),
+    that all share delta_1..delta_{n-1-tail}. The maker of the chains
+    declares ``tail``, as ``modified_params`` appends ell synthetic
+    parameters to the measure's chain; it is never read off the rows, so
+    a row's results do not depend on its batch. A tail of 0 claims
+    nothing: each row is its own chain."""
 
-    The split phase residual r of ``split_phase`` increases strictly by
-    2 pi n around the circle, and the solutions are its crossings of the
-    n levels 2 pi j in [r(0), r(0) + 2 pi n). One evaluation on a grid of
-    4n cells, taken _BRACKET_ROWS chains at a time, brackets each level in
-    its own cell. Each root then takes Newton steps on the wrapped
-    residual, with the branch taken from r, starting from the cell end
-    nearer in phase. It bisects its bracket instead when a step would
-    leave the closed bracket, or would go back by more than half the last
-    step (Newton cycling between the ends of a bracket, on a strongly
-    curved phase). Each root stops on its own once its step is below
-    TOL.bisect_theta or lands on a bracket end, so a row's roots never
-    depend on the rest of its batch. A step evaluates only the roots
-    still running, and each chain once for all of its own (``_phase_at``),
-    so the working memory grows with rows * n.
+    params: np.ndarray
+    tail: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.tail <= self.params.shape[1]:
+            raise InvalidParameterError(
+                f"a tail of {self.tail} in a chain of {self.params.shape[1]} parameters"
+            )
+        head = self.params[:, : self.params.shape[1] - self.tail]
+        if self.tail and not np.array_equal(head, np.broadcast_to(head[:1], head.shape)):
+            raise InvalidParameterError(f"the rows differ before their last {self.tail} parameters")
+
+    @property
+    def head(self) -> np.ndarray:
+        """delta_1..delta_{n-1-tail}: one shared row, (1, n - 1 - tail),
+        when there is a tail, else every row's whole chain."""
+        return self.params[:1, : self.params.shape[1] - self.tail] if self.tail else self.params
+
+
+def _solve_angles(chains: ChainBatch, target: np.ndarray) -> np.ndarray:
+    """The n solutions of F_n(e^{i theta}) = target per chain, unsorted:
+    ``target`` (rows, 1) gives angles (rows, n).
+
+    The split phase residual increases strictly by 2 pi n around the
+    circle at any split k, and the solutions are its crossings of the n
+    levels 2 pi j in [r(0), r(0) + 2 pi n), the same levels at every k.
+    One evaluation on a grid of 4n cells brackets each level in its own
+    cell (``_bracket``). A chain with a tail is split at k = n - tail:
+    the shared head is stepped forward on the grid once for the whole
+    batch, and only the tail is stepped backward per row; a chain
+    without one is split at k = ceil(n/2), as in ``split_phase``. Rows
+    are bracketed _BRACKET_ROWS at a time. Each root starts from the
+    inverse cubic Hermite interpolant of r and its slope at the two ends
+    of its cell, and then takes Newton steps on the wrapped residual of
+    ``split_phase``, with the branch taken from r. It bisects its
+    bracket instead when a step would leave the closed bracket, or would
+    go back by more than half the last step (Newton cycling between the
+    ends of a bracket, on a strongly curved phase). Each root stops on
+    its own once its step is below TOL.bisect_theta or lands on a
+    bracket end, so a row's roots never depend on the rest of its batch.
+    A step evaluates only the roots still running, and each chain once
+    for all of its own (``_phase_at``), so the working memory grows with
+    rows * n.
     """
+    params, tail = chains.params, chains.tail
     rows, n = params.shape[0], params.shape[1] + 1
     grid = np.arange(4 * n + 1) * (TWO_PI / (4 * n))
+    head = forward_half(chains.head[0], grid[:-1]) if tail and rows else None
     start = np.empty((5, rows, n))
     for i in range(0, rows, _BRACKET_ROWS):
         part = slice(i, i + _BRACKET_ROWS)
-        start[:, part] = _bracket(params[part], target[part], grid)
+        start[:, part] = _bracket(params[part], target[part], grid, tail, head)
     theta, lo, hi, level, last = start.reshape(5, rows * n)
 
     active = np.arange(rows * n)
@@ -320,11 +362,18 @@ def _solve_angles(params: np.ndarray, target: np.ndarray) -> np.ndarray:
     return theta.reshape(rows, n)
 
 
-def _bracket(params, target, grid):
+def _bracket(params, target, grid, tail, head):
     """The start of ``_solve_angles`` for a few chains: each root's first
-    angle, its bracket (lo, hi), its level and its last step, (5, rows, n)."""
+    angle, its bracket (lo, hi), its level and its last step, (5, rows, n).
+    ``head`` is ``forward_half`` of the shared head on the grid cells
+    when the chains have a tail of ``tail`` parameters, else None."""
     n, cells = params.shape[1] + 1, len(grid) - 1
-    r, _, slope = split_phase(params, grid[:-1], target)
+    if head is None:
+        r, _, slope = split_phase(params, grid[:-1], target)
+    else:
+        back, back_slope = backward_half(params[:, n - 1 - tail :], grid[:-1], target)
+        r = n * grid[:-1] - np.angle(target) + (head[0] - back)
+        slope = head[1] + back_slope
     # r(theta + 2 pi) = r(theta) + 2 pi n exactly, which keeps every level
     # inside the grid
     r = np.concatenate([r, r[:, :1] + TWO_PI * n], axis=1)
@@ -339,13 +388,20 @@ def _bracket(params, target, grid):
     lo, hi = grid[cell], grid[cell + 1]
     res_lo = np.take_along_axis(r, cell, axis=1) - level
     res_hi = np.take_along_axis(r, cell + 1, axis=1) - level
-    near_lo = np.abs(res_lo) <= np.abs(res_hi)
-    theta = np.where(
-        near_lo,
-        lo - res_lo / np.take_along_axis(slope, cell, axis=1),
-        hi - res_hi / np.take_along_axis(slope, cell + 1, axis=1),
+    # theta as a cubic in r through both cell ends, with slopes 1 / r'
+    # there, taken at r = level: t = 0 at lo, t = 1 at hi
+    rise = res_hi - res_lo
+    t = -res_lo / rise
+    theta = (
+        lo
+        + (hi - lo) * (t * t * (3.0 - 2.0 * t))
+        + rise * t * (1.0 - t) * (
+            (1.0 - t) / np.take_along_axis(slope, cell, axis=1)
+            - t / np.take_along_axis(slope, cell + 1, axis=1)
+        )
     )
     theta = np.where((theta >= lo) & (theta <= hi), theta, 0.5 * (lo + hi))
+    near_lo = np.abs(res_lo) <= np.abs(res_hi)
     return theta, lo, hi, level, theta - np.where(near_lo, lo, hi)
 
 
@@ -376,9 +432,16 @@ class CircleRoots(NamedTuple):
     gap_ok: np.ndarray  # (...) no two roots closer than TOL.root_gap
 
 
-def circle_roots(params, target) -> CircleRoots:
+def circle_roots(params, target, tail: int = 0) -> CircleRoots:
     """Batch kernel of ``blaschke_solve``: ``params`` is delta_1..delta_{n-1}
     along the last axis and ``target`` one unimodular value per chain.
+
+    ``tail`` declares, for the chain's maker, that every row of the batch
+    shares delta_1..delta_{n-1-tail} and differs only in its last
+    ``tail`` parameters, as the modified chains of one scan block do; the
+    nodes are bracketed at that split, with the shared head stepped once
+    for the batch. A row's nodes depend only on the row and on ``tail``,
+    never on the rest of its batch.
 
     The nodes come from a bracketed Newton solve on the split phase of
     F_n (``_solve_angles``), O(n) work per root; the residual and gap
@@ -391,7 +454,7 @@ def circle_roots(params, target) -> CircleRoots:
     rows = int(np.prod(batch))
     params = params.reshape(rows, n - 1)
     target = target.reshape(rows, 1)
-    theta = _solve_angles(params, target)
+    theta = _solve_angles(ChainBatch(params, tail), target)
 
     theta = np.sort(wrap_theta(theta), axis=1)
     f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
@@ -409,7 +472,7 @@ def circle_roots(params, target) -> CircleRoots:
     )
 
 
-def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints:
+def blaschke_solve(deltas: SchurSequence, n: int, target: complex, tail: int = 0) -> UnitPoints:
     """All n solutions of F_n(z) = target on the unit circle.
 
     The solutions are the zeros of the paraorthogonal polynomial
@@ -418,11 +481,14 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints
     own and solved by Newton steps on the split phase of ``split_phase``
     (a Pruefer-type phase). Every root is accepted only after a residual
     check scaled by the phase slope, and the set only when no two roots
-    nearly coincide (``circle_roots``).
+    nearly coincide (``circle_roots``). A chain whose last ``tail``
+    parameters were appended to a shared head (the modified chain of a
+    quasi-paraorthogonal polynomial) is bracketed at that split, as the
+    batch of a scan block is, and gets the same nodes.
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
-    roots = circle_roots(deltas.params(n - 1), target)
+    roots = circle_roots(deltas.params(n - 1), target, tail)
     if not roots.resid_ok:
         raise InternalConsistencyError(
             f"Blaschke root residual at {roots.resid_ratio:.3e} times its limit"

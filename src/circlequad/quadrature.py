@@ -361,7 +361,7 @@ class _Scan:
     def _rule_codes(self, q, kappas, tau) -> np.ndarray:
         """``build_rule`` on rows with a stable P."""
         combined = modified_params(self.deltas, self.n, kappas, tau)
-        theta, nodes_ok = zeros_rows(q, combined, tau)
+        theta, nodes_ok = zeros_rows(q, combined, tau, self.ell)
         lam, resid_ok, _ = weights_rows(np.exp(1j * theta), self.mu_arr, self.mu0)
         positive, sum_ok = weight_checks(lam, self.mu0)
         return np.select(

@@ -9,6 +9,7 @@ import pytest
 
 from circlequad import (
     TOL,
+    ComplexPoly,
     MeasureSpec,
     QpopucSpec,
     from_zeros,
@@ -16,9 +17,10 @@ from circlequad import (
     tau_pencil,
     zeros_on_circle,
 )
+from circlequad import quadrature
 from circlequad.errors import CircleQuadError
 from circlequad.opuc import TWO_PI, schur_cohn_rows
-from circlequad.qpopuc import assemble_rows
+from circlequad.qpopuc import assemble_rows, representation_rows, zeros_rows
 from circlequad.quadrature import (
     _BOUNDARY,
     _GREEN,
@@ -201,6 +203,31 @@ class TestBatchedScan:
         finally:
             tracemalloc.stop()
         assert peak < 3.0e6
+
+    def test_block_nodes_match_zeros_on_circle(self, monkeypatch):
+        # the node solve of a block brackets every row at the split
+        # n - ell of its modified chain, as zeros_on_circle does for the
+        # same tau alone, so each row's nodes are bitwise the same
+        scan = _Scan(RS_HALF, 16, 3, paper_alphas())
+        solved = []
+
+        def record(q, combined, tau, tail):
+            theta, ok = zeros_rows(q, combined, tau, tail)
+            solved.append((q, combined, tau, theta, ok))
+            return theta, ok
+
+        monkeypatch.setattr(quadrature, "zeros_rows", record)
+        scan._block(np.exp(1j * (0.01 + np.arange(260) * (TWO_PI / 260))))
+        ((q, combined, tau, theta, ok),) = solved
+        assert len(tau) > 100 and ok.all()
+        # the spot check steps the shared head once, and its deviations
+        # are bitwise those of the recursion run row by row
+        shared = representation_rows(q, combined, tau, 3)[1]
+        assert np.array_equal(shared, representation_rows(q, combined, tau)[1])
+        p, _ = scan.pencil.rows(tau)
+        for t, coeffs, row in zip(tau, p, theta):
+            spec = QpopucSpec(16, 3, ComplexPoly(coeffs), complex(t))
+            assert np.array_equal(zeros_on_circle(spec, scan.deltas).theta, row)
 
     @pytest.mark.parametrize(
         "measure", [MeasureSpec("lebesgue"), RS_HALF, ARC], ids=lambda m: m.label()

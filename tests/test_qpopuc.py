@@ -8,7 +8,9 @@ from circlequad import (
     ComplexPoly,
     MeasureSpec,
     QpopucSpec,
+    SchurSequence,
     assemble,
+    blaschke_solve,
     from_zeros,
     inner_product,
     invariance_parameter,
@@ -21,8 +23,9 @@ from circlequad.errors import (
     InvarianceError,
     NotRepresentableError,
 )
-from circlequad.opuc import TWO_PI
+from circlequad.opuc import TWO_PI, wrap_theta
 from circlequad.poly import ONE
+from circlequad.qpopuc import modified_params
 
 from circlequad_helpers import chain, random_tau
 
@@ -165,3 +168,32 @@ class TestZerosOnCircle:
         q = assemble(spec, deltas)
         z = np.array([p.z for p in pts])
         assert np.max(np.abs(q(z))) < 1e-9 * q.max_abs_coeff()
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "rogers_szego"])
+    def test_steep_modified_chains_match_companion_roots(self, measure, rng):
+        # synthetic parameters tau conj(kappa_j) with |kappa_j| >= 0.999, a
+        # P near the edge of stability: bracketed at the split n - ell,
+        # the nodes are the zeros of z rho~ + tau rho~* from its companion
+        # matrix
+        spec = MeasureSpec(measure, q=0.5) if measure == "rogers_szego" else MeasureSpec(measure)
+        for n, ell in ((5, 1), (5, 2), (9, 2), (16, 1), (16, 3), (40, 3)):
+            mu, deltas = chain(spec, n, ell)
+            for _ in range(10):
+                tau = random_tau(rng)
+                kappas = rng.uniform(0.999, 0.99999, size=(1, ell)) * np.exp(
+                    1j * rng.uniform(0.0, TWO_PI, size=(1, ell))
+                )
+                params = modified_params(deltas, n, kappas, [tau])[0]
+                thetas = blaschke_solve(SchurSequence.from_params(params), n, -tau, ell).theta
+                # a close pair of companion roots of Q in double precision is
+                # off by up to ~3e-12: Q is built from the parameters, and its
+                # companion roots polished, in extended precision
+                rho = np.ones(1, dtype=np.clongdouble)
+                for d in params.astype(np.clongdouble):
+                    rho = np.append(0, rho) + d * np.append(np.conj(rho[::-1]), 0)
+                q = (np.append(0, rho) + tau * np.append(np.conj(rho[::-1]), 0))[::-1]
+                z = np.roots(q.astype(complex)).astype(np.clongdouble)
+                for _ in range(3):
+                    z -= np.polyval(q, z) / np.polyval(np.polyder(q), z)
+                expected = np.sort(wrap_theta(np.angle(z.astype(complex))))
+                assert np.max(np.abs(np.angle(np.exp(1j * (thetas - expected))))) < 1e-12
