@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -176,20 +177,31 @@ def cmd_zeros(args) -> int:
     return 0
 
 
+def _arc(cert) -> dict:
+    """A green arc with the rule built at its midpoint: the tau angle,
+    whether it passes, its worst exactness residual over its gate (None
+    when no rule was built) and the condition that refused it."""
+    ratio = None if math.isnan(cert.resid_ratio) else cert.resid_ratio
+    return {
+        "start": cert.start,
+        "end": cert.end,
+        "start_over_pi": cert.start / math.pi,
+        "end_over_pi": cert.end / math.pi,
+        "certificate": {"tau_theta": cert.theta, "passes": cert.passes,
+                        "resid_ratio": ratio, "condition": cert.condition},
+    }
+
+
 def cmd_scan_tau(args) -> int:
     measure = parse_measure_flag(args.measure)
     nodes = [UnitPoint.from_theta(parse_angle(t)) for t in args.prescribe or []]
     scan = scan_tau(measure, args.n, args.ell, nodes, grid_size=args.grid)
-    counts = {}
-    for lab in scan.labels:
-        counts[lab] = counts.get(lab, 0) + 1
     payload = {
         "grid": args.grid,
-        "counts": counts,
-        "green_arcs": [
-            {"start": a, "end": b, "start_over_pi": a / math.pi, "end_over_pi": b / math.pi}
-            for a, b in scan.arcs
-        ],
+        "counts": dict(Counter(scan.labels)),
+        "green_arcs": [_arc(c) for c in scan.certificates if c.passes],
+        # green by Schur-Cohn, but the rule at the midpoint was refused
+        "dropped_arcs": [_arc(c) for c in scan.certificates if not c.passes],
     }
     if args.classification_csv:
         import csv as _csv

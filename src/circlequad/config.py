@@ -52,8 +52,6 @@ class Tolerances:
     sigma_collapse: float = 1e-12
     # minimum weight accepted as positive
     weight_positive: float = 1e-12
-    # tau-arc boundary refinement (radians)
-    scan_refine: float = 1e-4
 
 
 TOL = Tolerances()

@@ -438,7 +438,7 @@ def circle_roots(params, target, tail: int = 0) -> CircleRoots:
 
     ``tail`` declares, for the chain's maker, that every row of the batch
     shares delta_1..delta_{n-1-tail} and differs only in its last
-    ``tail`` parameters, as the modified chains of one scan block do; the
+    ``tail`` parameters, as the modified chains of ``zeros_rows`` do; the
     nodes are bracketed at that split, with the shared head stepped once
     for the batch. A row's nodes depend only on the row and on ``tail``,
     never on the rest of its batch.
@@ -483,8 +483,8 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex, tail: int = 0
     check scaled by the phase slope, and the set only when no two roots
     nearly coincide (``circle_roots``). A chain whose last ``tail``
     parameters were appended to a shared head (the modified chain of a
-    quasi-paraorthogonal polynomial) is bracketed at that split, as the
-    batch of a scan block is, and gets the same nodes.
+    quasi-paraorthogonal polynomial) is bracketed at that split, as a
+    batch of such chains is (``zeros_rows``), and gets the same nodes.
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
@@ -552,8 +552,3 @@ def schur_cohn(p: ComplexPoly) -> SchurCohnResult:
         )
     return SchurCohnResult(stable=bool(stable[0]), params=[complex(k) for k in kappas])
 
-
-def random_unit_points(rng, count: int) -> list[UnitPoint]:
-    """Distinct random points on the circle (test/scan helper)."""
-    thetas = rng.uniform(0.0, TWO_PI, size=count)
-    return [UnitPoint.from_theta(float(t)) for t in thetas]

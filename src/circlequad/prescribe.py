@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,13 +32,16 @@ from .errors import (
 from ._kernels import blaschke_values
 from .measures import ArcSpec, in_open_arc, modified_hat_moments, same_orientation
 from .opuc import (
+    TWO_PI,
     MomentSequence,
     SchurSequence,
     UnitPoint,
     blaschke_eval,
     blaschke_solve,
     schur_cohn,
+    schur_cohn_rows,
     schur_from_moments,
+    wrap_theta,
 )
 from .poly import ONE, ComplexPoly, from_zeros
 from .qpopuc import QpopucSpec, assemble, residual_rows
@@ -314,6 +318,69 @@ def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     # columns: the parts of the solution scaling with tau and free of it
     x = _solve(coupled_m, -np.column_stack([f, d]))
     return TauPencil(ell, az, f, x[:ell, 0], x[:ell, 1], x[ell:, 0], x[ell:, 1], cond)
+
+
+class TauArcs(NamedTuple):
+    """The circle of tau cut where the Schur-Cohn verdict on P changes:
+    the boundary angles, ascending in [0, 2 pi); the arcs, each from one
+    boundary counterclockwise to the next (the whole circle, (0, 2 pi),
+    when there is none); and each arc's verdict."""
+
+    boundary: np.ndarray
+    arcs: list  # of (theta_start, theta_end)
+    stable: list  # of bool, one per arc
+
+    @property
+    def green(self) -> list:
+        return [arc for arc, ok in zip(self.arcs, self.stable) if ok]
+
+
+# a root of H this far off the circle is still taken: np.roots moves a
+# double unit root off it by ~sqrt(eps), and a root that is no boundary
+# only cuts an arc whose two parts get the same verdict and merge again
+_UNIT_ROOT = 1e-6
+
+
+def tau_arcs(pencil: TauPencil) -> TauArcs:
+    """The arcs of tau on which P(z; tau) = tau A(z) + B(z) is Schur-stable.
+
+    P has a zero on the circle exactly when tau = -B(z) / A(z) for a z on
+    the circle with |A(z)| = |B(z)|, a unit root of
+    H = B B# - A A# = z**ell (|B|**2 - |A|**2), X# the conjugate reversal
+    of degree ell. H has degree 2 ell and the autocorrelations of B and A
+    as coefficients, so at most 2 ell values of tau bound the arcs, and
+    one Schur-Cohn test at an arc's midpoint decides the arc. Each root
+    from np.roots takes Newton steps in theta on the real
+    h(theta) = e**(-i ell theta) H(e**(i theta)). Neighbours with the same
+    verdict merge, as at a double root of H, where P's zero touches the
+    circle and turns back; an arc whose midpoint is in the Schur-Cohn
+    band (between the halves of a split double root) joins the arc
+    before it. A degenerate two-node pencil admits one tau: no arc.
+    """
+    if pencil.degenerate:
+        return TauArcs(np.empty(0), [], [])
+    a, b = np.append(pencil.a, 0.0), np.append(pencil.b, 1.0)
+    h = np.convolve(b, np.conj(b[::-1])) - np.convolve(a, np.conj(a[::-1]))
+    roots = np.roots(h[::-1])
+    theta = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= _UNIT_ROOT])
+    k = np.arange(len(h)) - pencil.ell
+    for _ in range(4):  # two reach the rounding of a simple root
+        e = np.exp(1j * np.outer(theta, k))
+        g, slope = (e @ h).real, (e @ (1j * k * h)).real
+        theta = theta - np.divide(g, slope, out=np.zeros_like(g), where=slope != 0.0)
+    z = np.exp(1j * theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau = -np.polyval(b[::-1], z) / np.polyval(a[::-1], z)
+    cuts = np.unique(wrap_theta(np.angle(tau[np.isfinite(tau)])))
+    ends = np.append(cuts, cuts[0] + TWO_PI) if len(cuts) else np.array([0.0, TWO_PI])
+    _, stable, band = schur_cohn_rows(pencil.rows(np.exp(0.5j * (ends[:-1] + ends[1:])))[0])
+    starts, stable = ends[:-1][~band], stable[~band]
+    change = stable != np.roll(stable, 1)
+    if not change.any():
+        return TauArcs(np.empty(0), [(0.0, TWO_PI)] if len(stable) else [], stable[:1].tolist())
+    starts = starts[change]
+    arcs = list(zip(starts.tolist(), np.roll(starts, -1).tolist()))
+    return TauArcs(starts, arcs, stable[change].tolist())
 
 
 def _pencil_row(pencil: TauPencil, tau: complex, t: float = 0.5) -> np.ndarray:

@@ -12,20 +12,22 @@ for the measure.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import TOL
 from .errors import (
+    CircleQuadError,
     ConditionViolationError,
     InvalidParameterError,
     NodesNotQuadratureError,
     NoSolutionError,
-    NotRepresentableError,
     PositivityViolationError,
 )
 from .measures import MeasureSpec, moment_chain
@@ -36,27 +38,27 @@ from .opuc import (
     UnitPoint,
     points_z,
     schur_cohn_rows,
+    wrap_theta,
 )
 from .poly import ONE
-from .prescribe import tau_pencil
+from .prescribe import prescribe_2l, tau_arcs, tau_pencil
 from .qpopuc import (
     QpopucSpec,
     assemble_rows,
-    modified_params,
     orthogonality_params,
     residual_rows,
     zeros_on_circle,
-    zeros_rows,
 )
 
 GREEN = "positive"
 RED_SCHUR = "inadmissible-schur"
 RED_WEIGHTS = "simple-nodes-nonpositive-weights"
 RED_BOUNDARY = "boundary-degenerate"
-# the batched scan labels with codes into this array, so that every label
-# it returns is one of the four strings above, not a copy
+# a scan keeps one uint8 code per grid point, an index into this array,
+# so that every label it returns is one of the four strings above
 _LABELS = np.array([GREEN, RED_SCHUR, RED_WEIGHTS, RED_BOUNDARY], dtype=object)
 _GREEN, _SCHUR, _WEIGHTS, _BOUNDARY = range(4)
+_CODES = {label: code for code, label in enumerate(_LABELS)}
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,68 @@ class QuadRule:
         return complex(np.sum(self.weights * f(z)))
 
 
+class ScanLabels(Sequence):
+    """Read-only scan labels kept as one uint8 code per grid point and
+    read as the label strings: 4000 points hold 4000 bytes, not a list of
+    4000 references."""
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes):
+        self.codes = np.asarray(codes, dtype=np.uint8)
+        self.codes.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        return ScanLabels(self.codes[i]) if isinstance(i, slice) else _LABELS[self.codes[i]]
+
+    def __iter__(self):
+        return iter(_LABELS[self.codes].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (ScanLabels, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ScanLabels({list(self)!r})"
+
+
+class ArcCertificate(NamedTuple):
+    """One rule built and verified at the midpoint of a green tau arc."""
+
+    start: float  # the arc, counterclockwise
+    end: float
+    theta: float  # angle of the midpoint tau
+    passes: bool  # the rule was built and ``verify_exactness`` passes
+    resid_ratio: float  # worst exactness residual over its gate; NaN with no rule
+    condition: str | None  # the error condition that refused the rule
+
+
 @dataclass
 class TauScan:
-    thetas: np.ndarray
-    labels: list
-    arcs: list  # of (theta_start, theta_end) green arcs, refined
+    """A ``scan_tau`` result. A green label means P passes Schur-Cohn at
+    that tau and its arc's certificate passed: the theorem of ``tau_arcs``
+    and one rule per arc stand behind it, not a rule of its own."""
+
+    thetas: np.ndarray  # the grid, read-only and shared (``scan_grid``)
+    labels: Sequence  # ScanLabels; a list of label strings is converted
+    arcs: list  # of (theta_start, theta_end): green arcs whose certificate passes
+    certificates: list = field(default_factory=list)  # of ArcCertificate, per green arc
+
+    def __post_init__(self):
+        if not isinstance(self.labels, ScanLabels):
+            self.labels = ScanLabels([_CODES[label] for label in self.labels])
+
+
+@functools.lru_cache(maxsize=8)  # a few grid sizes at a time, each shared
+def scan_grid(grid_size: int) -> np.ndarray:
+    """The read-only grid of tau angles k * 2 pi / grid_size."""
+    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
+    thetas.flags.writeable = False
+    return thetas
 
 
 def _power_table(z, order: int) -> np.ndarray:
@@ -276,39 +335,18 @@ def _root_codes(q) -> np.ndarray:
     return np.select([band, stable], [_BOUNDARY, _WEIGHTS], _SCHUR)
 
 
-# node-solve roots per block: ``_Scan.labels`` takes _ROOT_BUDGET // n tau
-# values at a time, so a block's working set, which grows with rows * n,
-# is about the same for every n. perfbench `scan` (n = 16, 10 s runs,
-# 2-core host) read op_p50_ms ~239, ~189 and ~175 and peak_rss_mb ~43.3,
-# ~44.9 and ~48.1 at budgets of 2048, 4096 and 8192 roots, against ~302
-# and ~42.3 for the old fixed blocks of 64 tau. The run keeps every scan,
-# so its memory also grows with speed: 8192 would near the benchmark's
-# 15% memory bound in 30 s runs. A tracemalloc peak of one 256-tau block
-# (``_Scan._block``) is ~2.4 MB
-_ROOT_BUDGET = 4096
-
-
 class _Scan:
-    """The tau-free part of one scan: chain, moments, pencil and nodes.
+    """The tau-free part of one scan: moments, chain, pencil and nodes.
 
-    ``labels`` gives every tau the label that ``prescribe_2l`` and
-    ``build_rule`` give it point by point, computed through the batch
-    kernels in blocks of _ROOT_BUDGET // n tau values, so that a block's
-    node solve holds at most _ROOT_BUDGET roots whatever n is; each check
-    of that per-point chain is a per-row mask here. Rows whose P fails
-    Schur-Cohn skip the node solve and the weights (``_root_codes``).
     Malformed input (node count, n, coinciding nodes) raises; only the
     tau-free refusals of ``TauPencil.require_solvable`` make every point
     boundary-degenerate.
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
-        m = n - ell - 1
-        self.n, self.ell = n, ell
-        mu, self.deltas = moment_chain(measure, n, ell)
-        self.mu_arr = mu.array(-m, m)
-        self.mu0 = float(mu.get(0).real)
-        self.rho = self.deltas.rho_coeffs(m)
+        self.measure, self.n, self.ell, self.alphas = measure, n, ell, alphas
+        self.mu, self.deltas = moment_chain(measure, n, ell)
+        self.rho = self.deltas.rho_coeffs(n - ell - 1)
         self.nodes = np.array([a.z for a in alphas], dtype=complex)
         self.pencil = None
         self.refused = False  # a tau-free refusal: every point is boundary
@@ -323,52 +361,48 @@ class _Scan:
             except (NoSolutionError, ConditionViolationError):
                 self.refused = True
 
-    def labels(self, thetas) -> np.ndarray:
+    def codes(self, thetas) -> np.ndarray:
+        """A uint8 label code per tau angle, with no node solve and no
+        weights: the checks of ``prescribe_2l`` as masks, then green for a
+        stable P, and the zeros of Q alone (``_root_codes``) for the rest."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
-        block = max(1, _ROOT_BUDGET // self.n)
-        return _LABELS[
-            np.concatenate([self._block(tau[i : i + block]) for i in range(0, len(tau), block)])
-        ]
-
-    def _block(self, tau) -> np.ndarray:
-        codes = np.full(len(tau), _BOUNDARY)
-        if self.refused or not len(tau):
+        codes = np.full(len(tau), _GREEN if self.ell == 0 else _BOUNDARY, dtype=np.uint8)
+        if self.ell == 0 or self.refused:
             return codes
-        ell = self.ell
-        if ell == 0:
-            p = np.ones((len(tau), 1), dtype=complex)
-            kappas = np.zeros((len(tau), 0), dtype=complex)
-            ok = np.ones(len(tau), dtype=bool)
-            admissible = np.ones(len(tau), dtype=bool)
-        else:
-            p, ok = self.pencil.rows(tau)
-            kappas, stable, band = schur_cohn_rows(p)
-            ok &= ~band
-            admissible = stable & ~band
+        p, ok = self.pencil.rows(tau)
+        _, stable, band = schur_cohn_rows(p)
+        ok &= ~band
         q = assemble_rows(p, tau, self.rho)
-        if ell:
-            # two nodes are checked only on an admissible P, more always
-            checked = admissible if ell == 1 else ok
-            ok &= ~checked | residual_rows(q, self.nodes, TOL.node_residual)[0]
-        rows = np.nonzero(ok & admissible)[0]
-        if len(rows):
-            codes[rows] = self._rule_codes(q[rows], kappas[rows], tau[rows])
-        rows = np.nonzero(ok & ~admissible)[0]
+        # two nodes are checked only on an admissible P, more always
+        checked = ok & stable if self.ell == 1 else ok
+        ok &= ~checked | residual_rows(q, self.nodes, TOL.node_residual)[0]
+        codes[ok & stable] = _GREEN
+        rows = np.flatnonzero(ok & ~stable)
         if len(rows):
             codes[rows] = _root_codes(q[rows])
         return codes
 
-    def _rule_codes(self, q, kappas, tau) -> np.ndarray:
-        """``build_rule`` on rows with a stable P."""
-        combined = modified_params(self.deltas, self.n, kappas, tau)
-        theta, nodes_ok = zeros_rows(q, combined, tau, self.ell)
-        lam, resid_ok, _ = weights_rows(np.exp(1j * theta), self.mu_arr, self.mu0)
-        positive, sum_ok = weight_checks(lam, self.mu0)
-        return np.select(
-            [~(nodes_ok & resid_ok), ~positive, ~sum_ok],
-            [_BOUNDARY, _WEIGHTS, _BOUNDARY],
-            _GREEN,
-        )
+    def certificate(self, start: float, end: float) -> ArcCertificate:
+        """``prescribe_2l``, ``build_rule`` and ``verify_exactness`` at the
+        midpoint of a green arc."""
+        theta = float(wrap_theta(start + 0.5 * ((end - start) % TWO_PI or TWO_PI)))
+        tau = complex(np.exp(1j * theta))
+        try:
+            if self.ell:
+                spec = prescribe_2l(self.deltas, self.n, self.ell, self.alphas, tau).spec
+            else:
+                spec = QpopucSpec(self.n, 0, ONE, tau)
+            rule = build_rule(self.measure, spec, mu=self.mu, deltas=self.deltas)
+        except CircleQuadError as exc:
+            return ArcCertificate(start, end, theta, False, math.nan, exc.condition)
+        report = verify_exactness(rule, self.mu)
+        ratio = max(report["residuals"].values()) / report["tolerance"]
+        return ArcCertificate(start, end, theta, report["passes"], ratio, None)
+
+
+def _on_arc(thetas, start: float, end: float) -> np.ndarray:
+    """Which angles lie on the counterclockwise arc from start to end."""
+    return (thetas - start) % TWO_PI < ((end - start) % TWO_PI or TWO_PI)
 
 
 def scan_tau(
@@ -380,61 +414,40 @@ def scan_tau(
 ) -> TauScan:
     """Classify the invariance parameter over a uniform circle grid.
 
-    The prescription is factored once as a tau-affine pencil; the grid
-    is then labelled through the batch kernels in blocks sized by a
-    budget of node-solve roots (_ROOT_BUDGET // n tau values, 256 at
-    n = 16), each block giving the labels that the per-point
-    prescription and ``build_rule`` give; a tau whose P fails Schur-Cohn
-    is labelled by the zeros of Q alone (``_root_codes``), with no
-    weights solved. Adjacent grid points
-    with the positive classification are merged into maximal arcs (with
-    wraparound), and every arc end is refined by bisection, all ends in
-    lockstep, to the configured angular resolution.
+    The prescription is factored once as a tau-affine pencil,
+    P(tau) = tau A + B. Its green arcs, where P is Schur-stable, come in
+    closed form from ``tau_arcs`` (at ell = 0, P = 1: the whole circle),
+    and each is certified by one rule built and verified at its midpoint
+    (``TauScan.certificates``). The grid is labelled at once by
+    ``_Scan.codes``. An arc whose certificate fails is dropped, and its
+    green points take the label the per-point chain gives the failure:
+    simple-nodes-nonpositive-weights for a positivity violation,
+    boundary-degenerate for any other refusal or a failed
+    ``verify_exactness``.
 
     Malformed input raises ``InvalidParameterError``: a node count other
     than 2*ell, 2*ell + 1 > n or coinciding nodes. A configuration the
     prescription refuses for every tau labels every point
-    boundary-degenerate.
+    boundary-degenerate and has no arc.
     """
     if grid_size < 8:
         raise InvalidParameterError("grid_size must be at least 8")
     scan = _Scan(measure, n, ell, alphas)
-    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    labels = scan.labels(thetas)
-
-    green = labels == GREEN
-    arcs = []
-    if green.all():
-        arcs.append((0.0, TWO_PI))
-    elif green.any():
-        # runs of green points with wraparound: each starts after a
-        # non-green point and ends before one
-        starts = np.nonzero(green & ~np.roll(green, 1))[0]
-        ends = np.nonzero(green & ~np.roll(green, -1))[0]
-        step = TWO_PI / grid_size
-        bounds = _refine_boundaries(
-            scan, np.concatenate([thetas[starts], thetas[ends]]),
-            np.repeat([-step, step], len(starts)),
-        )
-        lo, hi = np.split(bounds % TWO_PI, 2)
-        # the run starting at starts[i] ends at the first end at or after it
-        j = np.searchsorted(ends, starts) % len(ends)
-        arcs = sorted(zip(lo.tolist(), hi[j].tolist()))
-    return TauScan(thetas=thetas, labels=labels.tolist(), arcs=arcs)
-
-
-def _refine_boundaries(scan: _Scan, theta_green, step) -> np.ndarray:
-    """Bisect between each green angle and its non-green neighbor at
-    ``theta_green + step``, all in lockstep."""
-    lo, hi = theta_green.astype(float), theta_green + step
-    active = np.nonzero(np.abs(hi - lo) > TOL.scan_refine)[0]
-    while len(active):
-        mid = 0.5 * (lo[active] + hi[active])
-        green = scan.labels(mid) == GREEN
-        lo[active[green]] = mid[green]
-        hi[active[~green]] = mid[~green]
-        active = active[np.abs(hi[active] - lo[active]) > TOL.scan_refine]
-    return 0.5 * (lo + hi)
+    thetas = scan_grid(grid_size)
+    codes = scan.codes(thetas)
+    if scan.refused:
+        green = []
+    elif ell == 0:
+        green = [(0.0, TWO_PI)]
+    else:
+        green = tau_arcs(scan.pencil).green
+    certificates = [scan.certificate(*arc) for arc in green]
+    for cert in certificates:
+        if not cert.passes:
+            failed = _WEIGHTS if cert.condition == PositivityViolationError.condition else _BOUNDARY
+            codes[_on_arc(thetas, cert.start, cert.end) & (codes == _GREEN)] = failed
+    arcs = [(c.start, c.end) for c in certificates if c.passes]
+    return TauScan(thetas, ScanLabels(codes), arcs, certificates)
 
 
 def rule_to_dict(rule: QuadRule, residuals: dict | None = None) -> dict:

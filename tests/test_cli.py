@@ -141,6 +141,54 @@ class TestScanCommand:
         assert lines[0] == "tau_theta,classification"
         assert len(lines) == 17
 
+    def test_classification_csv_is_unchanged(self, capsys, tmp_path):
+        # byte for byte the file the per-point scanner wrote: the grid
+        # angles as repr, one label each, csv's \r\n line ends
+        path = tmp_path / "labels.csv"
+        code = run(
+            ["scan-tau", "--measure", "rogers-szego:q=0.5", "--n", "16", "--ell", "3",
+             "--prescribe", "pi:-3/4", "pi:-1/2", "0", "pi:1/4", "pi:1/2", "pi:3/4",
+             "--grid", "16", "--classification-csv", str(path),
+             "--out", str(tmp_path / "scan.json")]
+        )
+        assert code == 0
+        expected = [
+            "tau_theta,classification",
+            "0.0,simple-nodes-nonpositive-weights",
+            "0.39269908169872414,inadmissible-schur",
+            "0.7853981633974483,boundary-degenerate",
+            "1.1780972450961724,positive",
+            "1.5707963267948966,simple-nodes-nonpositive-weights",
+            "1.9634954084936207,inadmissible-schur",
+            "2.356194490192345,simple-nodes-nonpositive-weights",
+            "2.748893571891069,positive",
+            "3.141592653589793,positive",
+            "3.5342917352885173,positive",
+            "3.9269908169872414,simple-nodes-nonpositive-weights",
+            "4.319689898685965,inadmissible-schur",
+            "4.71238898038469,simple-nodes-nonpositive-weights",
+            "5.105088062083414,positive",
+            "5.497787143782138,positive",
+            "5.890486225480862,positive",
+        ]
+        assert path.read_bytes() == "".join(line + "\r\n" for line in expected).encode()
+
+    def test_arcs_carry_their_certificates(self, capsys):
+        code, data = run_json(
+            capsys,
+            ["scan-tau", "--measure", "rogers-szego:q=0.5", "--n", "16", "--ell", "3",
+             "--prescribe", "pi:-3/4", "pi:-1/2", "0", "pi:1/4", "pi:1/2", "pi:3/4",
+             "--grid", "64"],
+        )
+        assert code == 0
+        assert len(data["green_arcs"]) == 3 and data["dropped_arcs"] == []
+        for arc in data["green_arcs"]:
+            cert = arc["certificate"]
+            mid = arc["start"] + ((arc["end"] - arc["start"]) % (2 * math.pi)) / 2
+            assert cert["tau_theta"] == pytest.approx(mid % (2 * math.pi), abs=1e-12)
+            assert cert["passes"] and cert["condition"] is None
+            assert 0.0 < cert["resid_ratio"] < 1.0
+
     def test_arity_checked(self, capsys):
         code, data = run_json(
             capsys,

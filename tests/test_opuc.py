@@ -30,7 +30,7 @@ from circlequad.errors import (
     NotPositiveDefiniteError,
 )
 from circlequad.measures import MeasureSpec, moments
-from circlequad.opuc import TWO_PI, random_unit_points, wrap_theta
+from circlequad.opuc import TWO_PI, wrap_theta
 
 from circlequad_helpers import chain
 
@@ -429,13 +429,6 @@ class TestSchurCohn:
     def test_requires_monic(self):
         with pytest.raises(InvalidParameterError):
             schur_cohn(ComplexPoly([1.0, 2.0 + 0.5j, 3.0]))
-
-
-def test_random_unit_points(rng):
-    pts = random_unit_points(rng, 5)
-    assert len(pts) == 5
-    for p in pts:
-        assert abs(abs(p.z) - 1.0) < 1e-12
 
 
 def test_chain_helper_sizes(rogers_half):
