@@ -12,17 +12,10 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (
-    backward_half,
-    blaschke_phase_slope,
-    blaschke_values,
-    forward_half,
-    split_phase,
-)
+from ._kernels import blaschke_phase_slope, blaschke_values, split_phase
 from .config import TOL
 from .errors import (
     BoundaryDegenerateError,
@@ -272,78 +265,30 @@ def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
 # for the Newton steps that ``_solve_angles`` takes between bisections
 _ROOT_STEPS = 100
 
-# chains whose bracketing grid is evaluated at once, so that the grid's
-# phase arrays hold at most 64 * 4n angles whatever the batch size
-_BRACKET_ROWS = 64
 
+def _solve_angles(params: np.ndarray, target: complex) -> np.ndarray:
+    """The n solutions of F_n(e^{i theta}) = target for the chain
+    ``params`` = delta_1..delta_{n-1}, unsorted.
 
-@dataclass(frozen=True)
-class ChainBatch:
-    """Chains delta_1..delta_{n-1}, one per row of ``params`` (rows, n - 1),
-    that all share delta_1..delta_{n-1-tail}. The maker of the chains
-    declares ``tail``, as ``modified_params`` appends ell synthetic
-    parameters to the measure's chain; it is never read off the rows, so
-    a row's results do not depend on its batch. A tail of 0 claims
-    nothing: each row is its own chain."""
-
-    params: np.ndarray
-    tail: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.tail <= self.params.shape[1]:
-            raise InvalidParameterError(
-                f"a tail of {self.tail} in a chain of {self.params.shape[1]} parameters"
-            )
-        head = self.params[:, : self.params.shape[1] - self.tail]
-        if self.tail and not np.array_equal(head, np.broadcast_to(head[:1], head.shape)):
-            raise InvalidParameterError(f"the rows differ before their last {self.tail} parameters")
-
-    @property
-    def head(self) -> np.ndarray:
-        """delta_1..delta_{n-1-tail}: one shared row, (1, n - 1 - tail),
-        when there is a tail, else every row's whole chain."""
-        return self.params[:1, : self.params.shape[1] - self.tail] if self.tail else self.params
-
-
-def _solve_angles(chains: ChainBatch, target: np.ndarray) -> np.ndarray:
-    """The n solutions of F_n(e^{i theta}) = target per chain, unsorted:
-    ``target`` (rows, 1) gives angles (rows, n).
-
-    The split phase residual increases strictly by 2 pi n around the
-    circle at any split k, and the solutions are its crossings of the n
-    levels 2 pi j in [r(0), r(0) + 2 pi n), the same levels at every k.
-    One evaluation on a grid of 4n cells brackets each level in its own
-    cell (``_bracket``). A chain with a tail is split at k = n - tail:
-    the shared head is stepped forward on the grid once for the whole
-    batch, and only the tail is stepped backward per row; a chain
-    without one is split at k = ceil(n/2), as in ``split_phase``. Rows
-    are bracketed _BRACKET_ROWS at a time. Each root starts from the
-    inverse cubic Hermite interpolant of r and its slope at the two ends
-    of its cell, and then takes Newton steps on the wrapped residual of
-    ``split_phase``, with the branch taken from r. It bisects its
+    The split phase residual of ``split_phase`` increases strictly by
+    2 pi n around the circle, and the solutions are its crossings of the
+    n levels 2 pi j in [r(0), r(0) + 2 pi n). One evaluation on a grid of
+    4n cells brackets each level in its own cell (``_bracket``). Each
+    root starts from the inverse cubic Hermite interpolant of r and its
+    slope at the two ends of its cell, and then takes Newton steps on the
+    wrapped residual, with the branch taken from r. It bisects its
     bracket instead when a step would leave the closed bracket, or would
     go back by more than half the last step (Newton cycling between the
     ends of a bracket, on a strongly curved phase). Each root stops on
     its own once its step is below TOL.bisect_theta or lands on a
-    bracket end, so a row's roots never depend on the rest of its batch.
-    A step evaluates only the roots still running, and each chain once
-    for all of its own (``_phase_at``), so the working memory grows with
-    rows * n.
+    bracket end, and a step evaluates only the roots still running.
     """
-    params, tail = chains.params, chains.tail
-    rows, n = params.shape[0], params.shape[1] + 1
-    grid = np.arange(4 * n + 1) * (TWO_PI / (4 * n))
-    head = forward_half(chains.head[0], grid[:-1]) if tail and rows else None
-    start = np.empty((5, rows, n))
-    for i in range(0, rows, _BRACKET_ROWS):
-        part = slice(i, i + _BRACKET_ROWS)
-        start[:, part] = _bracket(params[part], target[part], grid, tail, head)
-    theta, lo, hi, level, last = start.reshape(5, rows * n)
+    theta, lo, hi, level, last = _bracket(params, target)
 
-    active = np.arange(rows * n)
+    active = np.arange(len(theta))
     for _ in range(_ROOT_STEPS):
         th = theta[active]
-        r, wrapped, slope = _phase_at(params, target, active, th)
+        r, wrapped, slope = split_phase(params, th, target)
         res = wrapped + TWO_PI * np.round((r - level[active] - wrapped) / TWO_PI)
         a = lo[active] = np.where(res < 0.0, th, lo[active])
         b = hi[active] = np.where(res > 0.0, th, hi[active])
@@ -359,35 +304,25 @@ def _solve_angles(chains: ChainBatch, target: np.ndarray) -> np.ndarray:
         active = active[~done]
         if not len(active):
             break
-    return theta.reshape(rows, n)
+    return theta
 
 
-def _bracket(params, target, grid, tail, head):
-    """The start of ``_solve_angles`` for a few chains: each root's first
-    angle, its bracket (lo, hi), its level and its last step, (5, rows, n).
-    ``head`` is ``forward_half`` of the shared head on the grid cells
-    when the chains have a tail of ``tail`` parameters, else None."""
-    n, cells = params.shape[1] + 1, len(grid) - 1
-    if head is None:
-        r, _, slope = split_phase(params, grid[:-1], target)
-    else:
-        back, back_slope = backward_half(params[:, n - 1 - tail :], grid[:-1], target)
-        r = n * grid[:-1] - np.angle(target) + (head[0] - back)
-        slope = head[1] + back_slope
+def _bracket(params, target):
+    """The start of ``_solve_angles``: each root's first angle, its
+    bracket (lo, hi), its level and its last step, five arrays of n."""
+    n = len(params) + 1
+    cells = 4 * n
+    grid = np.arange(cells + 1) * (TWO_PI / cells)
+    r, _, slope = split_phase(params, grid[:-1], target)
     # r(theta + 2 pi) = r(theta) + 2 pi n exactly, which keeps every level
     # inside the grid
-    r = np.concatenate([r, r[:, :1] + TWO_PI * n], axis=1)
-    slope = np.concatenate([slope, slope[:, :1]], axis=1)
-    level = TWO_PI * (np.ceil(r[:, :1] / TWO_PI) + np.arange(n))
-    # r rises along each row, so a stable sort of r followed by the levels
-    # puts each level right after the r <= it: its sorted position less
-    # its own index counts them, as searchsorted(side="right") would
-    order = np.argsort(np.concatenate([r, level], axis=1), axis=1, kind="stable")
-    count = np.nonzero(order > cells)[1].reshape(level.shape) - np.arange(n)
-    cell = np.clip(count - 1, 0, cells - 1)
+    r = np.append(r, r[0] + TWO_PI * n)
+    slope = np.append(slope, slope[0])
+    level = TWO_PI * (np.ceil(r[0] / TWO_PI) + np.arange(n))
+    # r rises, so the grid points at or below a level count its cell
+    cell = np.clip(np.searchsorted(r, level, side="right") - 1, 0, cells - 1)
     lo, hi = grid[cell], grid[cell + 1]
-    res_lo = np.take_along_axis(r, cell, axis=1) - level
-    res_hi = np.take_along_axis(r, cell + 1, axis=1) - level
+    res_lo, res_hi = r[cell] - level, r[cell + 1] - level
     # theta as a cubic in r through both cell ends, with slopes 1 / r'
     # there, taken at r = level: t = 0 at lo, t = 1 at hi
     rise = res_hi - res_lo
@@ -395,107 +330,42 @@ def _bracket(params, target, grid, tail, head):
     theta = (
         lo
         + (hi - lo) * (t * t * (3.0 - 2.0 * t))
-        + rise * t * (1.0 - t) * (
-            (1.0 - t) / np.take_along_axis(slope, cell, axis=1)
-            - t / np.take_along_axis(slope, cell + 1, axis=1)
-        )
+        + rise * t * (1.0 - t) * ((1.0 - t) / slope[cell] - t / slope[cell + 1])
     )
     theta = np.where((theta >= lo) & (theta <= hi), theta, 0.5 * (lo + hi))
     near_lo = np.abs(res_lo) <= np.abs(res_hi)
     return theta, lo, hi, level, theta - np.where(near_lo, lo, hi)
 
 
-def _phase_at(params, target, roots, theta):
-    """``split_phase`` at the angles ``theta`` of the roots with flat
-    indices ``roots`` (ascending, row * n + j): the roots of each chain are
-    packed into one row of points, padded with angle 0, so that a chain's
-    parameters are read once per step, not copied for every root."""
-    row = roots // (params.shape[1] + 1)
-    new_row = np.empty(len(roots), dtype=bool)
-    new_row[:1] = True
-    np.not_equal(row[1:], row[:-1], out=new_row[1:])
-    first = np.flatnonzero(new_row)
-    which = np.cumsum(new_row) - 1
-    slot = np.arange(len(roots)) - first[which]
-    points = np.zeros((len(first), slot.max(initial=-1) + 1))
-    points[which, slot] = theta
-    live = row[first]
-    return (a[which, slot] for a in split_phase(params[live], points, target[live]))
-
-
-class CircleRoots(NamedTuple):
-    """The n solutions of F_n(z) = target per chain, with their certificates."""
-
-    theta: np.ndarray  # (..., n), ascending in [0, 2 pi)
-    resid_ratio: np.ndarray  # (...) worst |F_n - target| over its per-root limit
-    resid_ok: np.ndarray  # (...) every root within its residual limit
-    gap_ok: np.ndarray  # (...) no two roots closer than TOL.root_gap
-
-
-def circle_roots(params, target, tail: int = 0) -> CircleRoots:
-    """Batch kernel of ``blaschke_solve``: ``params`` is delta_1..delta_{n-1}
-    along the last axis and ``target`` one unimodular value per chain.
-
-    ``tail`` declares, for the chain's maker, that every row of the batch
-    shares delta_1..delta_{n-1-tail} and differs only in its last
-    ``tail`` parameters, as the modified chains of ``zeros_rows`` do; the
-    nodes are bracketed at that split, with the shared head stepped once
-    for the batch. A row's nodes depend only on the row and on ``tail``,
-    never on the rest of its batch.
-
-    The nodes come from a bracketed Newton solve on the split phase of
-    F_n (``_solve_angles``), O(n) work per root; the residual and gap
-    certificates are then taken from the Szego recursion, independently
-    of that solve.
-    """
-    params = np.asarray(params, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    batch, n = params.shape[:-1], params.shape[-1] + 1
-    rows = int(np.prod(batch))
-    params = params.reshape(rows, n - 1)
-    target = target.reshape(rows, 1)
-    theta = _solve_angles(ChainBatch(params, tail), target)
-
-    theta = np.sort(wrap_theta(theta), axis=1)
-    f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
-    resid = np.abs(f - target)
-    # |F - target| scales with the local phase slope, which peaks when
-    # chain zeros sit very close to the circle; the per-root tolerance
-    # reflects a theta accuracy of a few Newton stops
-    limit = np.maximum(TOL.root_residual, 50.0 * TOL.bisect_theta * slope)
-    gaps = np.diff(np.concatenate([theta, theta[:, :1] + TWO_PI], axis=1), axis=1)
-    return CircleRoots(
-        theta.reshape(batch + (n,)),
-        np.max(resid / limit, axis=1).reshape(batch),
-        np.all(resid < limit, axis=1).reshape(batch),
-        (np.min(gaps, axis=1) > TOL.root_gap).reshape(batch),
-    )
-
-
-def blaschke_solve(deltas: SchurSequence, n: int, target: complex, tail: int = 0) -> UnitPoints:
+def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints:
     """All n solutions of F_n(z) = target on the unit circle.
 
     The solutions are the zeros of the paraorthogonal polynomial
     z rho_{n-1} - target rho*_{n-1}. The argument of F_n rises strictly,
     by 2 pi n, around the circle, so each solution is bracketed on its
     own and solved by Newton steps on the split phase of ``split_phase``
-    (a Pruefer-type phase). Every root is accepted only after a residual
-    check scaled by the phase slope, and the set only when no two roots
-    nearly coincide (``circle_roots``). A chain whose last ``tail``
-    parameters were appended to a shared head (the modified chain of a
-    quasi-paraorthogonal polynomial) is bracketed at that split, as a
-    batch of such chains is (``zeros_rows``), and gets the same nodes.
+    (a Pruefer-type phase), O(n) work per root (``_solve_angles``).
+    Every root is then accepted only after a residual check scaled by
+    the phase slope, taken from the Szego recursion independently of
+    that solve, and the set only when no two roots nearly coincide.
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
-    roots = circle_roots(deltas.params(n - 1), target, tail)
-    if not roots.resid_ok:
+    params = deltas.params(n - 1)
+    theta = np.sort(wrap_theta(_solve_angles(params, target)))
+    f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
+    # |F - target| scales with the local phase slope, which peaks when
+    # chain zeros sit very close to the circle; the per-root tolerance
+    # reflects a theta accuracy of a few Newton stops
+    resid = np.abs(f - target)
+    limit = np.maximum(TOL.root_residual, 50.0 * TOL.bisect_theta * slope)
+    if not np.all(resid < limit):
         raise InternalConsistencyError(
-            f"Blaschke root residual at {roots.resid_ratio:.3e} times its limit"
+            f"Blaschke root residual at {np.max(resid / limit):.3e} times its limit"
         )
-    if not roots.gap_ok:
+    if not np.min(np.diff(theta, append=theta[0] + TWO_PI)) > TOL.root_gap:
         raise InternalConsistencyError("near-duplicate Blaschke roots detected")
-    return UnitPoints(roots.theta)
+    return UnitPoints(theta)
 
 
 @dataclass

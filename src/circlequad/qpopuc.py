@@ -26,14 +26,7 @@ from .errors import (
     InvarianceError,
     NotRepresentableError,
 )
-from .opuc import (
-    ChainBatch,
-    SchurSequence,
-    UnitPoints,
-    blaschke_solve,
-    circle_roots,
-    schur_cohn,
-)
+from .opuc import SchurSequence, UnitPoints, blaschke_solve, schur_cohn
 from .poly import ComplexPoly, horner
 
 
@@ -108,21 +101,6 @@ def _spot_points() -> np.ndarray:
     return z
 
 
-def representation_rows(q, combined, tau, tail: int = 0):
-    """Per row: (ok, deviation) of Q = z rho~_{n-1} + tau rho~*_{n-1} at 32
-    circle points, rho~ the chain of the row's ``combined`` parameters.
-    Rows that share all but their last ``tail`` parameters (``ChainBatch``)
-    step the shared ones once, and each row only its tail."""
-    z = _spot_points()
-    head = ChainBatch(combined, tail).head
-    rho, rho_star = szego_eval(head, z)
-    if tail:
-        rho, rho_star = szego_eval(combined[:, head.shape[1] :], z, (rho, rho_star))
-    direct = horner(q, z)
-    dev = np.max(np.abs(direct - (z * rho + np.asarray(tau)[:, None] * rho_star)), axis=1)
-    return dev <= TOL.representation * np.max(np.abs(q), axis=1), dev
-
-
 def modified_params(deltas: SchurSequence, n: int, kappas, tau) -> np.ndarray:
     """delta_1..delta_{n-ell-1} followed by tau * conj(kappa_j), j = ell..1,
     per row: kappas (batch, ell) from ``schur_cohn_rows``, tau (batch,)."""
@@ -130,21 +108,6 @@ def modified_params(deltas: SchurSequence, n: int, kappas, tau) -> np.ndarray:
     base = deltas.params(n - kappas.shape[1] - 1)
     synthetic = np.asarray(tau)[:, None] * np.conj(kappas)
     return np.concatenate([np.broadcast_to(base, (len(kappas), len(base))), synthetic], axis=1)
-
-
-def zeros_rows(q, combined, tau, tail: int):
-    """Batch kernel of ``zeros_on_circle`` for rows whose P is stable, their
-    modified chains ``combined`` sharing all but the last ``tail`` = ell
-    parameters (``modified_params``).
-
-    Returns the rows' node angles (batch, n) and whether each row passes
-    every certificate: the representation spot check, the root residual
-    and root gap of ``circle_roots``, and the nodal residual |Q(z)|.
-    """
-    rep_ok, _ = representation_rows(q, combined, tau, tail)
-    roots = circle_roots(combined, -np.asarray(tau), tail)
-    nodal_ok = residual_rows(q, np.exp(1j * roots.theta), TOL.node_residual)[0]
-    return roots.theta, rep_ok & roots.resid_ok & roots.gap_ok & nodal_ok
 
 
 def assemble(spec: QpopucSpec, deltas: SchurSequence) -> ComplexPoly:
@@ -225,14 +188,13 @@ def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> 
                 "reflection-coefficient chain exists"
             )
         kappas = np.array([sc.params])
-    tau = [spec.tau]
-    combined = modified_params(deltas, spec.n, kappas, tau)
-    modified = SchurSequence.from_params(combined[0], e0=float(deltas.norms[0]))
-    ok, dev = representation_rows(q.coeffs[None], combined, tau, spec.ell)
-    if not ok[0]:
-        raise InternalConsistencyError(
-            f"modified-chain representation deviates by {dev[0]:.3e}"
-        )
+    combined = modified_params(deltas, spec.n, kappas, [spec.tau])[0]
+    modified = SchurSequence.from_params(combined, e0=float(deltas.norms[0]))
+    z = _spot_points()
+    rho, rho_star = szego_eval(combined, z)
+    dev = np.max(np.abs(q(z) - (z * rho + spec.tau * rho_star)))
+    if not dev <= TOL.representation * q.max_abs_coeff():
+        raise InternalConsistencyError(f"modified-chain representation deviates by {dev:.3e}")
     return modified
 
 
@@ -242,11 +204,12 @@ def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> UnitPoints:
     With Q = z rho~_{n-1} + tau rho~*_{n-1}, Q is paraorthogonal for the
     modified chain, and its zeros are the solutions of the Blaschke
     equation F~_n(z) = -tau: ``blaschke_solve`` brackets each one on the
-    phase of F~_n, solves it by Newton steps and certifies it. The nodal
-    residual |Q(z)| is then checked against the directly assembled Q.
+    phase of F~_n split at ceil(n/2), as for any chain, solves it by
+    Newton steps and certifies it. The nodal residual |Q(z)| is then
+    checked against the directly assembled Q.
     """
     q = assemble(spec, deltas)
-    pts = blaschke_solve(_modified_chain(spec, deltas, q), spec.n, -spec.tau, spec.ell)
+    pts = blaschke_solve(_modified_chain(spec, deltas, q), spec.n, -spec.tau)
     ok, resid, _ = residual_rows(q.coeffs[None], pts.z, TOL.node_residual)
     if not ok[0]:
         raise InternalConsistencyError(

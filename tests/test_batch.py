@@ -26,7 +26,7 @@ from circlequad import quadrature
 from circlequad.errors import CircleQuadError, PositivityViolationError
 from circlequad.prescribe import tau_arcs
 from circlequad.opuc import TWO_PI, schur_cohn_rows
-from circlequad.qpopuc import assemble_rows, modified_params, representation_rows, zeros_rows
+from circlequad.qpopuc import assemble_rows
 from circlequad.quadrature import (
     _BOUNDARY,
     _GREEN,
@@ -203,27 +203,26 @@ class TestBatchedScan:
         got = np.concatenate([scan.codes(part) for part in parts])
         assert np.array_equal(got, scan.codes(thetas))
 
-    def test_block_nodes_match_zeros_on_circle(self):
-        # the batched node solve brackets every row at the split n - ell
-        # of its modified chain, as zeros_on_circle does for the same tau
-        # alone, so each row's nodes are bitwise the same
+    def test_nodes_match_companion_roots(self):
+        # the scan's one node solve is ``zeros_on_circle``, on the modified
+        # chain of each arc certificate: swept over tau, every stable P
+        # gives certified nodes, the zeros of its assembled Q
         scan = _Scan(RS_HALF, 16, 3, paper_alphas())
         tau = np.exp(1j * (0.01 + np.arange(260) * (TWO_PI / 260)))
         p, ok = scan.pencil.rows(tau)
-        kappas, stable, band = schur_cohn_rows(p)
+        _, stable, band = schur_cohn_rows(p)
         rows = ok & stable & ~band
         p, tau = p[rows], tau[rows]
-        q = assemble_rows(p, tau, scan.rho)
-        combined = modified_params(scan.deltas, 16, kappas[rows], tau)
-        theta, nodes_ok = zeros_rows(q, combined, tau, 3)
-        assert len(tau) > 100 and nodes_ok.all()
-        # the spot check steps the shared head once, and its deviations
-        # are bitwise those of the recursion run row by row
-        shared = representation_rows(q, combined, tau, 3)[1]
-        assert np.array_equal(shared, representation_rows(q, combined, tau)[1])
-        for t, coeffs, row in zip(tau, p, theta):
+        assert len(tau) > 100
+        for t, coeffs, q in zip(tau, p, assemble_rows(p, tau, scan.rho)):
             spec = QpopucSpec(16, 3, ComplexPoly(coeffs), complex(t))
-            assert np.array_equal(zeros_on_circle(spec, scan.deltas).theta, row)
+            theta = zeros_on_circle(spec, scan.deltas).theta
+            roots = np.angle(np.roots(q[::-1]))
+            # wrap-aware distances, for a node within rounding of theta = 0;
+            # each root's nearest node, and a different node for each root
+            dist = np.abs(np.angle(np.exp(1j * (theta[:, None] - roots))))
+            assert np.max(np.min(dist, axis=0)) < 1e-12
+            assert np.array_equal(np.sort(np.argmin(dist, axis=0)), np.arange(16))
 
     @pytest.mark.parametrize(
         "measure", [MeasureSpec("lebesgue"), RS_HALF, ARC], ids=lambda m: m.label()

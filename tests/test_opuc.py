@@ -311,80 +311,6 @@ class TestBlaschke:
         assert np.max(np.abs(levels - np.round(levels))) < 0.1
         assert np.array_equal(np.diff(np.round(levels)), np.ones(n - 1))
 
-    def test_batch_rows_solve_alone(self):
-        # a row's roots never depend on the rest of its batch: 70 rows span
-        # two bracketing chunks, and every third chain ends at |delta| = 0.999
-        rng = np.random.default_rng(31)
-        for n in (5, 16, 40):
-            moduli = rng.uniform(0.0, 0.9, size=(70, n - 1))
-            moduli[::3, -1] = 0.999
-            d = moduli * np.exp(1j * rng.uniform(0.0, TWO_PI, size=moduli.shape))
-            target = np.exp(1j * rng.uniform(0.0, TWO_PI, size=70))
-            batch = opuc.circle_roots(d, target).theta
-            alone = np.array([opuc.circle_roots(d[i], target[i]).theta for i in range(70)])
-            assert np.array_equal(batch, alone)
-
-    @pytest.mark.parametrize("ell", [1, 2, 3])
-    def test_shared_head_batch_rows_solve_alone(self, ell):
-        # rows sharing delta_1..delta_{n-ell-1} are bracketed at n - ell
-        # with the head stepped once for the batch; a row's roots still
-        # never depend on the rest of its batch, and they agree with the
-        # balanced bracket's to rounding
-        rng = np.random.default_rng(37 + ell)
-        for n in (5, 16, 40):
-            moduli = rng.uniform(0.0, 0.9, size=(70, n - 1))
-            moduli[:, : n - 1 - ell] = moduli[0, : n - 1 - ell]
-            moduli[::3, -1] = 0.999
-            phases = rng.uniform(0.0, TWO_PI, size=moduli.shape)
-            phases[:, : n - 1 - ell] = phases[0, : n - 1 - ell]
-            d = moduli * np.exp(1j * phases)
-            target = np.exp(1j * rng.uniform(0.0, TWO_PI, size=70))
-            batch = opuc.circle_roots(d, target, ell)
-            alone = np.array([opuc.circle_roots(d[i], target[i], ell).theta for i in range(70)])
-            assert np.array_equal(batch.theta, alone)
-            assert batch.resid_ok.all() and batch.gap_ok.all()
-            balanced = opuc.circle_roots(d, target).theta
-            assert np.max(np.abs(np.angle(np.exp(1j * (batch.theta - balanced))))) < 1e-12
-
-    def test_shared_head_is_checked(self):
-        d = 0.5 * np.exp(1j * np.arange(12.0)).reshape(2, 6)
-        with pytest.raises(InvalidParameterError, match="differ"):
-            opuc.circle_roots(d, np.ones(2), 2)
-        with pytest.raises(InvalidParameterError, match="tail"):
-            opuc.circle_roots(d[:1], np.ones(1), 7)
-
-    def test_head_stepped_once_per_batch(self, monkeypatch):
-        # the bracketing grid of 4n cells costs one forward pass of the
-        # shared head plus ell backward steps per row, in any number of
-        # bracket chunks; stepping the head per row would cost rows * (n - 1)
-        from circlequad import _kernels
-
-        n, ell, rows = 16, 3, 3 * opuc._BRACKET_ROWS + 5
-        rng = np.random.default_rng(41)
-        d = np.tile(0.6 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=n - 1)), (rows, 1))
-        d[:, n - 1 - ell :] = 0.9 * np.exp(1j * rng.uniform(0.0, TWO_PI, size=(rows, ell)))
-        steps = {"bracket": 0, "newton": 0}
-        stage = ["bracket"]
-        true_steps, true_phase_at = _kernels._phase_steps, opuc._phase_at
-
-        def count(e, x, *args):
-            steps[stage[0]] += len(e) * x.size
-            return true_steps(e, x, *args)
-
-        def newton(*args):
-            stage[0] = "newton"
-            return true_phase_at(*args)
-
-        monkeypatch.setattr(_kernels, "_phase_steps", count)
-        monkeypatch.setattr(opuc, "_phase_at", newton)
-        opuc.circle_roots(d, np.exp(1j * rng.uniform(0.0, TWO_PI, size=rows)), ell)
-        assert steps["bracket"] == 4 * n * ((n - 1 - ell) + rows * ell)
-        assert steps["newton"] > 0
-
-    def test_empty_batch(self):
-        roots = opuc.circle_roots(np.empty((0, 4)), np.empty(0))
-        assert roots.theta.shape == (0, 5) and roots.resid_ok.shape == (0,)
-
     def test_certificate_catches_duplicate_root(self, monkeypatch):
         s = SchurSequence.from_params(0.5 * np.exp(1j * np.arange(1, 12)))
         blaschke_solve(s, 12, 1j)  # the unperturbed solve is accepted
@@ -392,7 +318,7 @@ class TestBlaschke:
 
         def perturbed(params, target):
             theta = true_solve(params, target)
-            theta[:, 0] = theta[:, 1]  # one root lost, its neighbor found twice
+            theta[0] = theta[1]  # one root lost, its neighbor found twice
             return theta
 
         monkeypatch.setattr(opuc, "_solve_angles", perturbed)

@@ -172,9 +172,9 @@ class TestZerosOnCircle:
     @pytest.mark.parametrize("measure", ["lebesgue", "rogers_szego"])
     def test_steep_modified_chains_match_companion_roots(self, measure, rng):
         # synthetic parameters tau conj(kappa_j) with |kappa_j| >= 0.999, a
-        # P near the edge of stability: bracketed at the split n - ell,
-        # the nodes are the zeros of z rho~ + tau rho~* from its companion
-        # matrix
+        # P near the edge of stability: bracketed at ceil(n/2) like any
+        # chain, the nodes are the zeros of z rho~ + tau rho~* from its
+        # companion matrix
         spec = MeasureSpec(measure, q=0.5) if measure == "rogers_szego" else MeasureSpec(measure)
         for n, ell in ((5, 1), (5, 2), (9, 2), (16, 1), (16, 3), (40, 3)):
             mu, deltas = chain(spec, n, ell)
@@ -184,7 +184,7 @@ class TestZerosOnCircle:
                     1j * rng.uniform(0.0, TWO_PI, size=(1, ell))
                 )
                 params = modified_params(deltas, n, kappas, [tau])[0]
-                thetas = blaschke_solve(SchurSequence.from_params(params), n, -tau, ell).theta
+                thetas = blaschke_solve(SchurSequence.from_params(params), n, -tau).theta
                 # a close pair of companion roots of Q in double precision is
                 # off by up to ~3e-12: Q is built from the parameters, and its
                 # companion roots polished, in extended precision
