@@ -23,14 +23,8 @@ import numpy as np
 from .errors import CircleQuadError, InvalidParameterError
 from .measures import moment_chain, moments, parse_measure_flag
 from .opuc import UnitPoint
-from .poly import ONE
-from .prescribe import (
-    prescribe_2l,
-    prescribe_2lp1,
-    radau,
-    tau_for_omega,
-)
-from .qpopuc import QpopucSpec, orthogonality_params, zeros_on_circle
+from .prescribe import prescribe_2l, prescribe_2lp1, tau_for_omega
+from .qpopuc import orthogonality_params, zeros_on_circle
 from .quadrature import (
     build_rule,
     rule_from_dict,
@@ -82,20 +76,13 @@ def _emit(payload: dict, out_path=None):
 
 
 def _prescription(args, mu, deltas):
-    """Shared node-count dispatch; returns (spec, diagnostics)."""
+    """Shared node-count dispatch; returns (spec, diagnostics). For every
+    ell >= 0, 2*ell nodes take --tau (``prescribe_2l``) and 2*ell + 1
+    nodes determine it (``prescribe_2lp1``)."""
     nodes = [UnitPoint.from_theta(parse_angle(t)) for t in args.prescribe or []]
     n, ell = args.n, args.ell
     k = len(nodes)
     tau = parse_unimodular(args.tau) if args.tau is not None else None
-    if ell == 0:
-        if k == 1:
-            res = radau(deltas, n, nodes[0])
-            return res.spec, res.diagnostics
-        if k == 0:
-            if tau is None:
-                raise InvalidParameterError("ell = 0 without nodes requires --tau")
-            return QpopucSpec(n, 0, ONE, tau), {}
-        raise InvalidParameterError("ell = 0 admits at most one prescribed node")
     if k == 2 * ell:
         if tau is None:
             raise InvalidParameterError(f"{k} nodes with ell = {ell} requires --tau")

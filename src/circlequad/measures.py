@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +50,10 @@ class ArcSpec:
         return tol < t < self.span - tol
 
 
-def arc_between(x: complex, y: complex):
-    """Angular offsets helper: t -> position of t counterclockwise from x."""
-    base = cmath.phase(x)
-    span = (cmath.phase(y) - base) % TWO_PI
-    return base, span
-
-
-def in_open_arc(t: complex, x: complex, y: complex, tol: float = 0.0) -> bool:
+def in_open_arc(t: complex, x: complex, y: complex) -> bool:
     """Is t strictly inside the counterclockwise open arc (x, y)?"""
-    base, span = arc_between(x, y)
-    pos = (cmath.phase(t) - base) % TWO_PI
-    return tol < pos < span - tol
+    base = cmath.phase(x)
+    return 0.0 < (cmath.phase(t) - base) % TWO_PI < (cmath.phase(y) - base) % TWO_PI
 
 
 def same_orientation(triple_a, triple_b) -> bool:

@@ -90,9 +90,7 @@ def radau(deltas: SchurSequence, n: int, alpha: UnitPoint) -> PrescriptionResult
     )
 
 
-def radau_arc_admissible(
-    deltas: SchurSequence, n: int, tau: complex, arc: ArcSpec, closed: bool = False
-) -> bool:
+def radau_arc_admissible(deltas: SchurSequence, n: int, tau: complex, arc: ArcSpec) -> bool:
     """Does -tau lie on the (counterclockwise) arc (F_n(a), F_n(b))?
 
     True guarantees all n zeros of the corresponding one-node rule fall
@@ -100,10 +98,6 @@ def radau_arc_admissible(
     """
     tau_a = blaschke_eval(deltas, n, arc.a.z)
     tau_b = blaschke_eval(deltas, n, arc.b.z)
-    if closed:
-        # an endpoint hit: -tau equals F_n(a) or F_n(b) up to rounding
-        if abs(-tau - tau_a) < 1e-12 or abs(-tau - tau_b) < 1e-12:
-            return True
     return in_open_arc(-tau, tau_a, tau_b)
 
 
@@ -125,7 +119,12 @@ def lobatto2(
     f1 a1 = f2 a2 only one tau works and eta is free along the chord
     between the nodes (parameter ``t``).
     """
-    pencil = tau_pencil(deltas, n, 1, [alpha1, alpha2])
+    alphas = [alpha1, alpha2]
+    return _lobatto2(tau_pencil(deltas, n, 1, alphas), deltas, n, alphas, tau, t)
+
+
+def _lobatto2(pencil, deltas, n, alphas, tau, t=0.5) -> PrescriptionResult:
+    """``lobatto2`` on the factored two-node pencil."""
     pencil.require_solvable()
     a1, a2 = pencil.nodes
     f1, f2 = pencil.f
@@ -152,7 +151,7 @@ def lobatto2(
     spec = QpopucSpec(n, 1, ComplexPoly(p), tau)
     admissible = _schur_admissible(spec.P, diagnostics)
     if admissible:
-        _check_residual(spec, deltas, [alpha1, alpha2], TOL.node_residual)
+        _check_residual(spec, deltas, alphas, TOL.node_residual)
     return PrescriptionResult(spec, admissible, diagnostics)
 
 
@@ -202,10 +201,11 @@ def three_nodes(
 
 
 def _prescribed_nodes(alphas, n: int, ell: int, count: int) -> np.ndarray:
-    """The checks every multi-node prescription makes: ell >= 1, ``count``
-    nodes, 2*ell + 1 <= n and no two nodes coinciding. Returns the points."""
-    if len(alphas) != count or ell < 1:
-        raise InvalidParameterError(f"expected {count} nodes with ell >= 1")
+    """The checks every prescription makes: ell >= 0, ``count`` nodes
+    (none at all for the free-tau ell = 0), 2*ell + 1 <= n and no two
+    nodes coinciding. Returns the points."""
+    if len(alphas) != count or ell < 0:
+        raise InvalidParameterError(f"expected {count} nodes with ell >= 0")
     if 2 * ell + 1 > n:
         raise InvalidParameterError("need 2*ell + 1 <= n")
     az = np.array([p.z for p in alphas], dtype=complex)
@@ -215,8 +215,9 @@ def _prescribed_nodes(alphas, n: int, ell: int, count: int) -> np.ndarray:
 
 
 def _min_gap(z: np.ndarray) -> float:
-    """Smallest distance between two of a few unit complex numbers."""
-    return float(np.min(np.abs(z[:, None] - z[None, :]) + np.eye(len(z))))
+    """Smallest distance between two of a few unit complex numbers, capped
+    at 1 by the filler of the diagonal; inf for no numbers."""
+    return float(np.min(np.abs(z[:, None] - z[None, :]) + np.eye(len(z)), initial=np.inf))
 
 
 def _vandermonde(points, cols):
@@ -244,6 +245,8 @@ class TauPencil:
     conj(p) block as a_conj + conj(tau) b_conj; that block must come out
     as conj(p), which is the check on the solve. Two nodes with
     f1 a1 = f2 a2 make M singular (``degenerate``): only one tau works.
+    At ell = 0 there are no nodes and no conditions: the empty pencil
+    gives the paraorthogonal P = 1 at every tau.
     """
 
     ell: int
@@ -254,6 +257,12 @@ class TauPencil:
     a_conj: np.ndarray  # conj(p) block of the coupled solve
     b_conj: np.ndarray
     cond: float  # 1-norm condition number of M, the same for every tau
+
+    @property
+    def affine(self) -> tuple:
+        """(A, B), low-to-high, of the monic P(tau) = tau A + B: a and b
+        with the leading 0 and 1."""
+        return np.append(self.a, 0.0), np.append(self.b, 1.0)
 
     @property
     def degenerate(self) -> bool:
@@ -295,26 +304,28 @@ class TauPencil:
             p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
             return p, np.abs(tau - self.tau_required) <= TOL.lobatto_tau
         p = tau[:, None] * self.a + self.b
-        coupling = np.max(
-            np.abs(self.a_conj + np.conj(tau[:, None]) * self.b_conj - np.conj(p)), axis=1
-        )
-        ok = coupling <= TOL.coupling * (1.0 + np.max(np.abs(p), axis=1))
+        conj_p = self.a_conj + np.conj(tau[:, None]) * self.b_conj
+        coupling = np.max(np.abs(conj_p - np.conj(p)), axis=1, initial=0.0)
+        ok = coupling <= TOL.coupling * (1.0 + np.max(np.abs(p), axis=1, initial=0.0))
         return np.concatenate([p, np.ones((len(p), 1))], axis=1), ok
 
 
 def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     """Factor the 2*ell-node prescription once: the f-values in one
     Blaschke evaluation, then the coupled solve and its condition number.
+    Every ell >= 0 takes this path; at ell = 0 the system is 0 x 0, with
+    condition number 1, and the pencil gives P = 1.
 
-    Raises ``InvalidParameterError`` for a wrong node count or
-    coinciding nodes; every other refusal is left to the caller.
+    Raises ``InvalidParameterError`` for a wrong node count, 2*ell + 1 > n
+    or coinciding nodes; every other refusal is left to the caller.
     """
     az = _prescribed_nodes(alphas, n, ell, 2 * ell)
     f = _f_values(deltas, n, ell, alphas)
     v = _vandermonde(az, ell)
     d = az**ell
     coupled_m = np.hstack([v, (f * d)[:, None] * np.conj(v)])
-    cond = float(abs(np.linalg.cond(coupled_m, 1)))
+    # numpy defines no condition number for the 0 x 0 system of ell = 0
+    cond = float(abs(np.linalg.cond(coupled_m, 1))) if ell else 1.0
     # columns: the parts of the solution scaling with tau and free of it
     x = _solve(coupled_m, -np.column_stack([f, d]))
     return TauPencil(ell, az, f, x[:ell, 0], x[:ell, 1], x[ell:, 0], x[ell:, 1], cond)
@@ -355,11 +366,12 @@ def tau_arcs(pencil: TauPencil) -> TauArcs:
     verdict merge, as at a double root of H, where P's zero touches the
     circle and turns back; an arc whose midpoint is in the Schur-Cohn
     band (between the halves of a split double root) joins the arc
-    before it. A degenerate two-node pencil admits one tau: no arc.
+    before it. A degenerate two-node pencil admits one tau: no arc. The
+    empty pencil of ell = 0 (P = 1, H = 1) has one arc, the whole circle.
     """
     if pencil.degenerate:
         return TauArcs(np.empty(0), [], [])
-    a, b = np.append(pencil.a, 0.0), np.append(pencil.b, 1.0)
+    a, b = pencil.affine
     h = np.convolve(b, np.conj(b[::-1])) - np.convolve(a, np.conj(a[::-1]))
     roots = np.roots(h[::-1])
     theta = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= _UNIT_ROOT])
@@ -398,18 +410,17 @@ def _pencil_row(pencil: TauPencil, tau: complex, t: float = 0.5) -> np.ndarray:
 def prescribe_2l(
     deltas: SchurSequence, n: int, ell: int, alphas: list[UnitPoint], tau: complex
 ) -> PrescriptionResult:
-    """2*ell prescribed nodes with given tau.
+    """2*ell prescribed nodes with given tau, for every ell >= 0.
 
     Evaluates the ``tau_pencil`` of the interpolation conditions
     P(a_i) + tau f_i P*(a_i) = 0, the coupled solve in (p, conj(p)), at
     tau, with its conjugate coupling checked. Admissible iff P passes the
-    Schur-Cohn test. Two nodes go through ``lobatto2``.
+    Schur-Cohn test. Two nodes go through ``lobatto2``; no nodes (ell = 0)
+    give the paraorthogonal P = 1, admissible at every tau.
     """
-    if len(alphas) != 2 * ell or ell < 1:
-        raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
-    if ell == 1:
-        return lobatto2(deltas, n, alphas[0], alphas[1], tau)
     pencil = tau_pencil(deltas, n, ell, alphas)
+    if ell == 1:
+        return _lobatto2(pencil, deltas, n, alphas, tau)
     pencil.require_solvable()
     poly = ComplexPoly(_pencil_row(pencil, tau))
     diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
@@ -422,13 +433,17 @@ def prescribe_2l(
 def prescribe_2lp1(
     deltas: SchurSequence, n: int, ell: int, alphas: list[UnitPoint]
 ) -> PrescriptionResult:
-    """2*ell + 1 prescribed nodes: tau is no longer free.
+    """2*ell + 1 prescribed nodes, for every ell >= 0: tau is no longer free.
 
     Runs ``_odd_solve``; admissible iff P passes the Schur-Cohn test.
-    Three nodes (ell = 1) go through ``three_nodes``, which reads the
-    verdict from eta and the orientation theorem instead, and whose
-    inadmissible result has ``spec`` None and eta in the diagnostics.
+    One node (ell = 0) goes through ``radau``, tau = -F_n(alpha). Three
+    nodes (ell = 1) go through ``three_nodes``, which reads the verdict
+    from eta and the orientation theorem instead, and whose inadmissible
+    result has ``spec`` None and eta in the diagnostics.
     """
+    if ell == 0:
+        _prescribed_nodes(alphas, n, 0, 1)
+        return radau(deltas, n, alphas[0])
     if ell == 1:
         return three_nodes(deltas, n, alphas)
     poly, tau, f, cond = _odd_solve(deltas, n, ell, alphas)
@@ -565,28 +580,22 @@ def tau_for_omega(
 ):
     """Invariance parameters tau realizing a target omega.
 
-    The 2*ell-node ``tau_pencil`` makes P(0) affine in tau, P(0) = A tau + B;
-    substituting into the closed form for omega yields one quadratic in
-    tau, so there are at most two solutions on the circle. Returns
-    (solutions, degenerate) where degenerate means omega does not depend
-    on tau at all (B = 0 with the target attained).
+    The 2*ell-node ``tau_pencil`` makes P(0) affine in tau, P(0) = A tau + B
+    (at ell = 0, P = 1: A = 0 and B = 1); substituting into the closed
+    form for omega yields one quadratic in tau, so there are at most two
+    solutions on the circle. Returns (solutions, degenerate) where
+    degenerate means omega does not depend on tau at all (B = 0 with the
+    target attained).
     """
     if abs(abs(omega) - 1.0) > TOL.on_circle:
         raise InvalidParameterError("|omega| must equal 1")
-    if len(alphas) != 2 * ell:
-        raise InvalidParameterError(f"expected 2*ell = {2 * ell} nodes")
-    if 2 * ell + 1 > n:
-        raise InvalidParameterError("need 2*ell + 1 <= n")
+    pencil = tau_pencil(deltas, n, ell, alphas)
+    if not pencil.cond <= TOL.condition_limit:
+        raise ConditionViolationError(
+            f"tau-parametrized system condition {pencil.cond:.3e} exceeds limit"
+        )
     delta = complex(deltas.params(n - ell)[-1])
-    if ell == 0:
-        a_coef, b_coef = 0.0 + 0.0j, 1.0 + 0.0j
-    else:
-        pencil = tau_pencil(deltas, n, ell, alphas)
-        if not pencil.cond <= TOL.condition_limit:
-            raise ConditionViolationError(
-                f"tau-parametrized system condition {pencil.cond:.3e} exceeds limit"
-            )
-        a_coef, b_coef = complex(pencil.a[0]), complex(pencil.b[0])
+    a_coef, b_coef = (complex(c[0]) for c in pencil.affine)
 
     d_big = np.conj(delta)
     scale = max(abs(a_coef), abs(b_coef), 1.0)

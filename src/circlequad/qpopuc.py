@@ -178,17 +178,14 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
 
 def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> SchurSequence:
     """``modified_schur`` with Q = ``assemble(spec, deltas)`` given."""
-    kappas = np.zeros((1, 0), dtype=complex)
-    if spec.ell > 0:
-        sc = schur_cohn(spec.P)
-        if not sc.stable:
-            raise NotRepresentableError(
-                "prescription polynomial has zeros outside the unit disk "
-                f"(worst Schur-Cohn parameter {sc.worst:.6f}); no equivalent "
-                "reflection-coefficient chain exists"
-            )
-        kappas = np.array([sc.params])
-    combined = modified_params(deltas, spec.n, kappas, [spec.tau])[0]
+    sc = schur_cohn(spec.P)
+    if not sc.stable:
+        raise NotRepresentableError(
+            "prescription polynomial has zeros outside the unit disk "
+            f"(worst Schur-Cohn parameter {sc.worst:.6f}); no equivalent "
+            "reflection-coefficient chain exists"
+        )
+    combined = modified_params(deltas, spec.n, [sc.params], [spec.tau])[0]
     modified = SchurSequence.from_params(combined, e0=float(deltas.norms[0]))
     z = _spot_points()
     rho, rho_star = szego_eval(combined, z)

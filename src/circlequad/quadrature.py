@@ -40,7 +40,6 @@ from .opuc import (
     schur_cohn_rows,
     wrap_theta,
 )
-from .poly import ONE
 from .prescribe import prescribe_2l, tau_arcs, tau_pencil
 from .qpopuc import (
     QpopucSpec,
@@ -337,6 +336,8 @@ def _root_codes(q) -> np.ndarray:
 
 class _Scan:
     """The tau-free part of one scan: moments, chain, pencil and nodes.
+    Every ell >= 0 builds its ``tau_pencil``; at ell = 0 it is the empty
+    pencil, P = 1 at every tau.
 
     Malformed input (node count, n, coinciding nodes) raises; only the
     tau-free refusals of ``TauPencil.require_solvable`` make every point
@@ -348,26 +349,20 @@ class _Scan:
         self.mu, self.deltas = moment_chain(measure, n, ell)
         self.rho = self.deltas.rho_coeffs(n - ell - 1)
         self.nodes = np.array([a.z for a in alphas], dtype=complex)
-        self.pencil = None
+        self.pencil = tau_pencil(self.deltas, n, ell, alphas)
         self.refused = False  # a tau-free refusal: every point is boundary
-        if ell == 0:
-            if len(alphas):
-                raise InvalidParameterError("ell = 0 takes no prescribed nodes")
-            QpopucSpec(n, 0, ONE, 1.0 + 0.0j)  # raises for an n that has no rule
-        else:
-            self.pencil = tau_pencil(self.deltas, n, ell, alphas)
-            try:
-                self.pencil.require_solvable()
-            except (NoSolutionError, ConditionViolationError):
-                self.refused = True
+        try:
+            self.pencil.require_solvable()
+        except (NoSolutionError, ConditionViolationError):
+            self.refused = True
 
     def codes(self, thetas) -> np.ndarray:
         """A uint8 label code per tau angle, with no node solve and no
         weights: the checks of ``prescribe_2l`` as masks, then green for a
         stable P, and the zeros of Q alone (``_root_codes``) for the rest."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
-        codes = np.full(len(tau), _GREEN if self.ell == 0 else _BOUNDARY, dtype=np.uint8)
-        if self.ell == 0 or self.refused:
+        codes = np.full(len(tau), _BOUNDARY, dtype=np.uint8)
+        if self.refused:
             return codes
         p, ok = self.pencil.rows(tau)
         _, stable, band = schur_cohn_rows(p)
@@ -388,10 +383,7 @@ class _Scan:
         theta = float(wrap_theta(start + 0.5 * ((end - start) % TWO_PI or TWO_PI)))
         tau = complex(np.exp(1j * theta))
         try:
-            if self.ell:
-                spec = prescribe_2l(self.deltas, self.n, self.ell, self.alphas, tau).spec
-            else:
-                spec = QpopucSpec(self.n, 0, ONE, tau)
+            spec = prescribe_2l(self.deltas, self.n, self.ell, self.alphas, tau).spec
             rule = build_rule(self.measure, spec, mu=self.mu, deltas=self.deltas)
         except CircleQuadError as exc:
             return ArcCertificate(start, end, theta, False, math.nan, exc.condition)
@@ -416,7 +408,8 @@ def scan_tau(
 
     The prescription is factored once as a tau-affine pencil,
     P(tau) = tau A + B. Its green arcs, where P is Schur-stable, come in
-    closed form from ``tau_arcs`` (at ell = 0, P = 1: the whole circle),
+    closed form from ``tau_arcs`` (at ell = 0, the empty pencil gives
+    P = 1 and one arc, the whole circle),
     and each is certified by one rule built and verified at its midpoint
     (``TauScan.certificates``). The grid is labelled at once by
     ``_Scan.codes``. An arc whose certificate fails is dropped, and its
@@ -435,12 +428,7 @@ def scan_tau(
     scan = _Scan(measure, n, ell, alphas)
     thetas = scan_grid(grid_size)
     codes = scan.codes(thetas)
-    if scan.refused:
-        green = []
-    elif ell == 0:
-        green = [(0.0, TWO_PI)]
-    else:
-        green = tau_arcs(scan.pencil).green
+    green = [] if scan.refused else tau_arcs(scan.pencil).green
     certificates = [scan.certificate(*arc) for arc in green]
     for cert in certificates:
         if not cert.passes:

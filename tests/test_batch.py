@@ -160,6 +160,24 @@ class TestTauPencil:
             assert ok[0]
             assert np.max(np.abs(rows[0] - spec.P.coeffs)) < 1e-10
 
+    def test_empty_pencil_is_p_one(self):
+        # ell = 0: no nodes and no conditions, the paraorthogonal P = 1
+        _, deltas = chain(RS_HALF, 9, 0)
+        pencil = tau_pencil(deltas, 9, 0, [])
+        rows, ok = pencil.rows(np.exp(1j * np.linspace(0.0, TWO_PI, 7)))
+        assert rows.tolist() == [[1.0]] * 7
+        assert ok.all()
+        assert pencil.cond == 1.0
+        assert not pencil.degenerate
+        pencil.require_solvable()
+
+    def test_empty_pencil_arc_is_the_circle(self):
+        _, deltas = chain(RS_HALF, 9, 0)
+        arcs = tau_arcs(tau_pencil(deltas, 9, 0, []))
+        assert len(arcs.boundary) == 0
+        assert arcs.arcs == [(0.0, TWO_PI)]
+        assert arcs.stable == [True]
+
     def test_single_blaschke_call_for_f_values(self):
         _, deltas = chain(RS_HALF, 16, 3)
         alphas = paper_alphas()

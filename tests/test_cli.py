@@ -76,6 +76,25 @@ class TestRuleCommand:
         target = (math.pi / 3) % (2 * math.pi)
         assert min(abs(n["theta"] - target) for n in data["nodes"]) < 1e-10
 
+    def test_radau_refuses_tau(self, capsys):
+        # one node at ell = 0 determines tau, as three do at ell = 1
+        code, data = run_json(
+            capsys,
+            ["rule", "--measure", "rogers-szego:q=0.5", "--n", "8",
+             "--prescribe", "pi:1/3", "--tau", "0"],
+        )
+        assert code == 1
+        assert data["condition"] == "invalid-parameter"
+        assert "do not pass --tau" in data["message"]
+
+    def test_free_tau_diagnostics(self, capsys):
+        # ell = 0 with no nodes is the empty prescription, P = 1
+        code, data = run_json(
+            capsys, ["rule", "--measure", "rogers-szego:q=0.5", "--n", "8", "--tau", "0.3"]
+        )
+        assert code == 0
+        assert data["diagnostics"] == {"f_values": [], "condition": 1.0, "schur_params": []}
+
     def test_inadmissible_exit_2(self, capsys):
         code, data = run_json(
             capsys,

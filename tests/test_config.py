@@ -1,5 +1,6 @@
 """The tolerance table against the library that reads it."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -37,3 +38,24 @@ def test_every_local_tolerance_says_why():
                 if not commented & {row - 2, row - 1, row}:
                     bare.append(f"{path.name}:{row}: {t.line.strip()}")
     assert bare == []
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is dead weight; __init__.py
+    # imports to re-export, and a __future__ import is a directive
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{row}: {name}" for name, row in imported.items() if name not in read]
+    assert unused == []

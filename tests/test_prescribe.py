@@ -10,6 +10,7 @@ from circlequad import (
     QpopucSpec,
     UnitPoint,
     assemble,
+    build_rule,
     classical_arc,
     from_zeros,
     lobatto2,
@@ -270,6 +271,42 @@ class TestPrescribe2lp1:
         mu, deltas = chain(rogers_half, 9, 2)
         with pytest.raises(InvalidParameterError):
             prescribe_2lp1(deltas, 9, 2, [unit(0.1), unit(0.2)])
+
+
+class TestEmptyPrescription:
+    """ell = 0 on the general paths: no nodes give P = 1, one node Radau."""
+
+    def test_prescribe_2l_gives_the_paraorthogonal_rule(self, rogers_half, rng):
+        n = 12
+        mu, deltas = chain(rogers_half, n, 0)
+        tau = random_tau(rng)
+        res = prescribe_2l(deltas, n, 0, [], tau)
+        assert res.admissible
+        assert res.spec.P.coeffs.tolist() == [1.0]
+        got = build_rule(rogers_half, res.spec, mu=mu, deltas=deltas)
+        want = build_rule(rogers_half, QpopucSpec(n, 0, ONE, tau), mu=mu, deltas=deltas)
+        assert [p.theta for p in got.nodes] == [p.theta for p in want.nodes]
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_prescribe_2lp1_is_radau(self, rogers_half, rng):
+        n = 12
+        _, deltas = chain(rogers_half, n, 0)
+        for _ in range(5):
+            alpha = unit(rng.uniform(0, 2 * math.pi))
+            assert prescribe_2lp1(deltas, n, 0, [alpha]).spec.tau == radau(deltas, n, alpha).spec.tau
+
+    def test_rejects_bad_arity(self, rogers_half):
+        _, deltas = chain(rogers_half, 8, 0)
+        calls = [
+            lambda: prescribe_2l(deltas, 8, 0, [unit(0.1)], 1.0 + 0j),
+            lambda: prescribe_2lp1(deltas, 8, 0, []),
+            lambda: prescribe_2lp1(deltas, 8, 0, [unit(0.1), unit(0.2)]),
+            lambda: tau_for_omega(deltas, 8, 0, [unit(0.1)], 1.0 + 0j),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError) as exc:
+                call()
+            assert exc.value.condition == "invalid-parameter"
 
 
 class TestClassicalArc:
