@@ -56,10 +56,6 @@ class ConditionViolationError(CircleQuadError):
     condition = "condition-violation"
 
 
-class RankDeficiencyError(CircleQuadError):
-    condition = "rank-deficiency"
-
-
 class NodesNotQuadratureError(CircleQuadError):
     condition = "nodes-not-quadrature"
 

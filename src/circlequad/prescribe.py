@@ -27,7 +27,6 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NoSolutionError,
-    RankDeficiencyError,
 )
 from ._kernels import blaschke_values
 from .measures import ArcSpec, in_open_arc, modified_hat_moments, same_orientation
@@ -107,7 +106,6 @@ def lobatto2(
     alpha1: UnitPoint,
     alpha2: UnitPoint,
     tau: complex,
-    t: float = 0.5,
 ) -> PrescriptionResult:
     """Two prescribed nodes, free tau (ell = 1).
 
@@ -116,22 +114,20 @@ def lobatto2(
     conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
     conj(a12) = (a1 - a2) / (f1 a1 - f2 a2). Admissible iff |eta| < 1,
     outside the Schur-Cohn boundary band. In the degenerate case
-    f1 a1 = f2 a2 only one tau works and eta is free along the chord
-    between the nodes (parameter ``t``).
+    f1 a1 = f2 a2 only one tau works, and eta, free along the chord
+    between the nodes, is taken at its midpoint (``TauPencil.affine``).
     """
     alphas = [alpha1, alpha2]
-    return _lobatto2(tau_pencil(deltas, n, 1, alphas), deltas, n, alphas, tau, t)
+    return _lobatto2(tau_pencil(deltas, n, 1, alphas), deltas, n, alphas, tau)
 
 
-def _lobatto2(pencil, deltas, n, alphas, tau, t=0.5) -> PrescriptionResult:
+def _lobatto2(pencil, deltas, n, alphas, tau) -> PrescriptionResult:
     """``lobatto2`` on the factored two-node pencil."""
     pencil.require_solvable()
     a1, a2 = pencil.nodes
     f1, f2 = pencil.f
     diagnostics = {"f_values": [f1, f2], "degenerate_case": pencil.degenerate}
-    p = _pencil_row(pencil, tau, t)
-    if pencil.degenerate and not (0.0 < t < 1.0):
-        raise InvalidParameterError("chord parameter t must lie in (0, 1)")
+    p = _pencil_row(pencil, tau)
     if not pencil.degenerate:
         diagnostics.update(c12=complex(-pencil.b[0]), a12=complex(-pencil.a[0]))
         # admissible-tau arc: from a1*conj(f2) over the midpoint direction
@@ -261,7 +257,11 @@ class TauPencil:
     @property
     def affine(self) -> tuple:
         """(A, B), low-to-high, of the monic P(tau) = tau A + B: a and b
-        with the leading 0 and 1."""
+        with the leading 0 and 1. A degenerate pencil has A = 0 and B the
+        P whose zero is the midpoint of the chord between the nodes."""
+        if self.degenerate:
+            a1, a2 = self.nodes
+            return np.zeros(2), np.array([-(a1 + 0.5 * (a2 - a1)), 1.0])
         return np.append(self.a, 0.0), np.append(self.b, 1.0)
 
     @property
@@ -292,16 +292,15 @@ class TauPencil:
                 "limit; the node/Blaschke configuration is (near-)singular"
             )
 
-    def rows(self, tau, t: float = 0.5):
+    def rows(self, tau):
         """Per tau: the monic P coefficients (batch, ell + 1), low-to-high,
         and whether the row is valid. A row of the solve is valid when its
         conj(p) block equals conj(p) within ``TOL.coupling``, relative to
-        1 + max |p|. A degenerate pencil admits only ``tau_required`` and
-        puts eta = a1 + t (a2 - a1) on the chord between the nodes."""
+        1 + max |p|. A degenerate pencil admits only ``tau_required``, where
+        P is the B of ``affine``."""
         tau = np.asarray(tau)
         if self.degenerate:
-            a1, a2 = self.nodes
-            p = np.tile([-(a1 + t * (a2 - a1)), 1.0], (len(tau), 1))
+            p = np.tile(self.affine[1], (len(tau), 1))
             return p, np.abs(tau - self.tau_required) <= TOL.lobatto_tau
         p = tau[:, None] * self.a + self.b
         conj_p = self.a_conj + np.conj(tau[:, None]) * self.b_conj
@@ -395,9 +394,9 @@ def tau_arcs(pencil: TauPencil) -> TauArcs:
     return TauArcs(starts, arcs, stable[change].tolist())
 
 
-def _pencil_row(pencil: TauPencil, tau: complex, t: float = 0.5) -> np.ndarray:
+def _pencil_row(pencil: TauPencil, tau: complex) -> np.ndarray:
     """P's coefficients at one tau, or the refusal of an invalid row."""
-    p, ok = pencil.rows([tau], t)
+    p, ok = pencil.rows([tau])
     if ok[0]:
         return p[0]
     if pencil.degenerate:
@@ -479,7 +478,7 @@ def _odd_solve(deltas: SchurSequence, n: int, ell: int, alphas):
     rhs = -az**ell
     cond = float(abs(np.linalg.cond(a_mat, 1)))
     if not np.isfinite(cond) or cond > TOL.condition_limit:
-        raise RankDeficiencyError(
+        raise ConditionViolationError(
             f"prescription system condition number {cond:.3e} exceeds limit"
         )
     x = np.linalg.solve(a_mat, rhs)
@@ -583,9 +582,11 @@ def tau_for_omega(
     The 2*ell-node ``tau_pencil`` makes P(0) affine in tau, P(0) = A tau + B
     (at ell = 0, P = 1: A = 0 and B = 1); substituting into the closed
     form for omega yields one quadratic in tau, so there are at most two
-    solutions on the circle. Returns (solutions, degenerate) where
-    degenerate means omega does not depend on tau at all (B = 0 with the
-    target attained).
+    solutions on the circle. A solution is returned only if its row of
+    ``TauPencil.rows`` is valid, so ``prescribe_2l`` takes every tau
+    returned past its coupling check. Returns (solutions, degenerate)
+    where degenerate means omega does not depend on tau at all (B = 0
+    with the target attained).
     """
     if abs(abs(omega) - 1.0) > TOL.on_circle:
         raise InvalidParameterError("|omega| must equal 1")
@@ -627,7 +628,8 @@ def tau_for_omega(
     for tau in out:
         if all(abs(tau - u) > 1e-9 for u in unique):  # merge double roots
             unique.append(tau)
-    return unique[:2], False
+    # one row at a time, as ``prescribe_2l`` checks it
+    return [tau for tau in unique[:2] if pencil.rows([tau])[1][0]], False
 
 
 def _omega_from_p0(a_coef, b_coef, tau, delta):

@@ -8,7 +8,9 @@ monic degree-n polynomial
     Q(z) = z P(z) rho_{n-ell-1}(z) + tau P*(z) rho*_{n-ell-1}(z),
 
 which is tau-invariant (Q = tau Q*) and orthogonal to
-span{z^{ell+1}, ..., z^{n-ell-1}}.
+span{z^{ell+1}, ..., z^{n-ell-1}}. The second term is the conjugate
+reversal, at degree n, of the first: with R = z P rho_{n-ell-1},
+Q = R + tau R*.
 """
 
 from __future__ import annotations
@@ -67,23 +69,6 @@ class OrthogonalityParams:
     q_poly: ComplexPoly | None = None
 
 
-def assemble_rows(p, tau, rho) -> np.ndarray:
-    """Batch kernel of ``assemble``: monic P coefficients (batch, ell + 1),
-    one tau per row and the shared rho_k coefficients give the rows'
-    Q = z P rho_k + tau P* rho*_k, (batch, ell + k + 2) low-to-high."""
-    p = np.asarray(p, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    ell, k = p.shape[1] - 1, len(rho) - 1
-    p_star, rho_star = np.conj(p[:, ::-1]), np.conj(rho[::-1])
-    q = np.zeros((len(p), ell + k + 2), dtype=complex)
-    star = np.zeros((len(p), ell + k + 1), dtype=complex)
-    for j in range(ell + 1):
-        q[:, j + 1 : j + k + 2] += p[:, j : j + 1] * rho
-        star[:, j : j + k + 1] += p_star[:, j : j + 1] * rho_star
-    q[:, :-1] += np.asarray(tau)[:, None] * star
-    return q
-
-
 def residual_rows(q, z, tol_rel):
     """Per row of Q coefficients: (ok, max |Q(z)|, limit), with ok when the
     residual stays within tol_rel times the largest coefficient."""
@@ -111,9 +96,10 @@ def modified_params(deltas: SchurSequence, n: int, kappas, tau) -> np.ndarray:
 
 
 def assemble(spec: QpopucSpec, deltas: SchurSequence) -> ComplexPoly:
-    """Coefficients of Q = z P rho_{n-ell-1} + tau P* rho*_{n-ell-1}."""
-    rho = deltas.rho_coeffs(spec.n - spec.ell - 1)
-    q = ComplexPoly(assemble_rows(spec.P.coeffs[None], [spec.tau], rho)[0])
+    """Coefficients of Q = z P rho_{n-ell-1} + tau P* rho*_{n-ell-1}, as
+    Q = R + tau R* from the one product R = z P rho_{n-ell-1}."""
+    r = np.convolve(np.append(0.0, spec.P.coeffs), deltas.rho_coeffs(spec.n - spec.ell - 1))
+    q = ComplexPoly(r + spec.tau * np.conj(r[::-1]))
     if q.degree != spec.n:
         raise InternalConsistencyError("assembled polynomial has wrong degree")
     return q

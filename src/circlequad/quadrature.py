@@ -41,13 +41,7 @@ from .opuc import (
     wrap_theta,
 )
 from .prescribe import prescribe_2l, tau_arcs, tau_pencil
-from .qpopuc import (
-    QpopucSpec,
-    assemble_rows,
-    orthogonality_params,
-    residual_rows,
-    zeros_on_circle,
-)
+from .qpopuc import QpopucSpec, orthogonality_params, residual_rows, zeros_on_circle
 
 GREEN = "positive"
 RED_SCHUR = "inadmissible-schur"
@@ -335,9 +329,12 @@ def _root_codes(q) -> np.ndarray:
 
 
 class _Scan:
-    """The tau-free part of one scan: moments, chain, pencil and nodes.
-    Every ell >= 0 builds its ``tau_pencil``; at ell = 0 it is the empty
-    pencil, P = 1 at every tau.
+    """The tau-free part of one scan: moments, chain, pencil and nodes,
+    and Q as an affine function of tau. Every ell >= 0 builds its
+    ``tau_pencil``; at ell = 0 it is the empty pencil, P = 1 at every tau.
+
+    With P = tau A + B and R_X = z X rho_{n-ell-1}, Q = R + tau R* is
+    Q = tau U + V, where U = R_A + R_B* and V = R_B + R_A*.
 
     Malformed input (node count, n, coinciding nodes) raises; only the
     tau-free refusals of ``TauPencil.require_solvable`` make every point
@@ -350,6 +347,9 @@ class _Scan:
         self.rho = self.deltas.rho_coeffs(n - ell - 1)
         self.nodes = np.array([a.z for a in alphas], dtype=complex)
         self.pencil = tau_pencil(self.deltas, n, ell, alphas)
+        r_a, r_b = (np.convolve(np.append(0.0, x), self.rho) for x in self.pencil.affine)
+        self.u = r_a + np.conj(r_b[::-1])
+        self.v = r_b + np.conj(r_a[::-1])
         self.refused = False  # a tau-free refusal: every point is boundary
         try:
             self.pencil.require_solvable()
@@ -359,7 +359,8 @@ class _Scan:
     def codes(self, thetas) -> np.ndarray:
         """A uint8 label code per tau angle, with no node solve and no
         weights: the checks of ``prescribe_2l`` as masks, then green for a
-        stable P, and the zeros of Q alone (``_root_codes``) for the rest."""
+        stable P, and the zeros of Q alone (``_root_codes``) for the rest.
+        Q = tau U + V is formed only for the rows that a check reads."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
         codes = np.full(len(tau), _BOUNDARY, dtype=np.uint8)
         if self.refused:
@@ -367,14 +368,15 @@ class _Scan:
         p, ok = self.pencil.rows(tau)
         _, stable, band = schur_cohn_rows(p)
         ok &= ~band
-        q = assemble_rows(p, tau, self.rho)
-        # two nodes are checked only on an admissible P, more always
-        checked = ok & stable if self.ell == 1 else ok
-        ok &= ~checked | residual_rows(q, self.nodes, TOL.node_residual)[0]
+        if len(self.nodes):
+            # two nodes are checked only on an admissible P, more always
+            rows = np.flatnonzero(ok & stable if self.ell == 1 else ok)
+            q = tau[rows, None] * self.u + self.v
+            ok[rows] = residual_rows(q, self.nodes, TOL.node_residual)[0]
         codes[ok & stable] = _GREEN
         rows = np.flatnonzero(ok & ~stable)
         if len(rows):
-            codes[rows] = _root_codes(q[rows])
+            codes[rows] = _root_codes(tau[rows, None] * self.u + self.v)
         return codes
 
     def certificate(self, start: float, end: float) -> ArcCertificate:

@@ -47,6 +47,24 @@ def direct_coefficients(deltas, n, ell, alphas, tau):
     return np.linalg.solve(m_full, -tau * f - d)[:ell]
 
 
+def direct_q_rows(p, tau, rho) -> np.ndarray:
+    """Q = z P rho_k + tau P* rho*_k per row, (batch, ell + k + 2)
+    low-to-high, from monic P coefficients (batch, ell + 1), one tau per
+    row and the shared rho_k coefficients: the two products accumulated
+    term by term, without the identity Q = R + tau R*."""
+    p = np.asarray(p, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    ell, k = p.shape[1] - 1, len(rho) - 1
+    p_star, rho_star = np.conj(p[:, ::-1]), np.conj(rho[::-1])
+    q = np.zeros((len(p), ell + k + 2), dtype=complex)
+    star = np.zeros((len(p), ell + k + 1), dtype=complex)
+    for j in range(ell + 1):
+        q[:, j + 1 : j + k + 2] += p[:, j : j + 1] * rho
+        star[:, j : j + k + 1] += p_star[:, j : j + 1] * rho_star
+    q[:, :-1] += np.asarray(tau)[:, None] * star
+    return q
+
+
 def elimination_pencil(deltas, n, ell, alphas):
     """(a, b) with P's low coefficients p(tau) = tau a + b, found without
     the coupled (p, conj(p)) solve of ``tau_pencil``.

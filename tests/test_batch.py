@@ -12,8 +12,10 @@ from circlequad import (
     ComplexPoly,
     MeasureSpec,
     QpopucSpec,
+    SchurSequence,
     TauPencil,
     TauScan,
+    assemble,
     build_rule,
     from_zeros,
     lobatto2,
@@ -26,7 +28,6 @@ from circlequad import quadrature
 from circlequad.errors import CircleQuadError, PositivityViolationError
 from circlequad.prescribe import tau_arcs
 from circlequad.opuc import TWO_PI, schur_cohn_rows
-from circlequad.qpopuc import assemble_rows
 from circlequad.quadrature import (
     _BOUNDARY,
     _GREEN,
@@ -50,6 +51,7 @@ from circlequad_helpers import (
     _classify,
     chain,
     direct_coefficients,
+    direct_q_rows,
     elimination_pencil,
     unit,
 )
@@ -178,6 +180,20 @@ class TestTauPencil:
         assert arcs.arcs == [(0.0, TWO_PI)]
         assert arcs.stable == [True]
 
+    def test_degenerate_affine_is_the_chord(self):
+        # Lebesgue, antipodal nodes: f1 a1 = f2 a2, and P = B, whose zero
+        # is the midpoint of the chord, at the one tau admitted
+        _, deltas = chain(MeasureSpec("lebesgue"), 4, 1)
+        pencil = tau_pencil(deltas, 4, 1, [unit(0.3), unit(0.3 + math.pi)])
+        assert pencil.degenerate
+        a, b = pencil.affine
+        a1, a2 = pencil.nodes
+        assert a.tolist() == [0.0, 0.0]
+        assert b.tolist() == [-(a1 + 0.5 * (a2 - a1)), 1.0]
+        rows, ok = pencil.rows([pencil.tau_required, -pencil.tau_required])
+        assert rows.tolist() == [b.tolist()] * 2
+        assert ok.tolist() == [True, False]
+
     def test_single_blaschke_call_for_f_values(self):
         _, deltas = chain(RS_HALF, 16, 3)
         alphas = paper_alphas()
@@ -186,6 +202,52 @@ class TestTauPencil:
 
         want = [np.conj(blaschke_eval(deltas, 13, a.z)) for a in alphas]
         assert np.max(np.abs(pencil.f - want)) < 1e-14
+
+
+class TestAffineQ:
+    """Q = R + tau R* (``assemble``) and the scan's rows Q = tau U + V
+    against the two products of ``direct_q_rows``, term by term."""
+
+    def test_assemble(self):
+        rng = np.random.default_rng(14)
+        for _ in range(400):
+            n = int(rng.integers(2, 80))
+            ell = int(rng.integers(0, (n - 1) // 2 + 1))
+            k = n - ell - 1
+            params = 0.95 * np.sqrt(rng.uniform(size=k)) * np.exp(1j * rng.uniform(0, TWO_PI, k))
+            deltas = SchurSequence.from_params(params)
+            p = np.append(rng.normal(size=ell) + 1j * rng.normal(size=ell), 1.0)
+            tau = np.exp(1j * rng.uniform(0, TWO_PI))
+            q = assemble(QpopucSpec(n, ell, ComplexPoly(p), tau), deltas).coeffs
+            want = direct_q_rows(p[None], [tau], deltas.rho_coeffs(k))[0]
+            assert np.max(np.abs(q - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("measure", [RS_HALF, ARC], ids=lambda m: m.label())
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    def test_scan_rows(self, measure, ell):
+        rng = np.random.default_rng(40 + ell)
+        for _ in range(5):
+            n = int(rng.integers(2 * ell + 3, 13))
+            scan = _Scan(measure, n, ell, spread_nodes(rng, 2 * ell))
+            tau = np.exp(1j * rng.uniform(0.0, TWO_PI, size=50))
+            want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan.rho)
+            got = tau[:, None] * scan.u + scan.v
+            # both carry the rounding of the products before R_A and R_B
+            # cancel: a pencil with large A and B (the arc) moves Q by more
+            # than eps max|q| on either path
+            a, b = scan.pencil.affine
+            terms = np.max(np.convolve(np.abs(a) + np.abs(b), np.abs(scan.rho)))
+            assert np.max(np.abs(got - want)) <= 1e-14 * max(terms, np.max(np.abs(want)))
+
+    def test_degenerate_scan_rows(self):
+        # at the one tau a degenerate pencil admits, Q = tau R_B* + R_B
+        n = 6
+        scan = _Scan(MeasureSpec("lebesgue"), n, 1, [unit(0.3), unit(0.3 + math.pi)])
+        assert scan.pencil.degenerate
+        tau = np.array([scan.pencil.tau_required])
+        want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan.rho)
+        got = tau[:, None] * scan.u + scan.v
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestBatchedScan:
@@ -232,7 +294,7 @@ class TestBatchedScan:
         rows = ok & stable & ~band
         p, tau = p[rows], tau[rows]
         assert len(tau) > 100
-        for t, coeffs, q in zip(tau, p, assemble_rows(p, tau, scan.rho)):
+        for t, coeffs, q in zip(tau, p, direct_q_rows(p, tau, scan.rho)):
             spec = QpopucSpec(16, 3, ComplexPoly(coeffs), complex(t))
             theta = zeros_on_circle(spec, scan.deltas).theta
             roots = np.angle(np.roots(q[::-1]))
@@ -578,7 +640,7 @@ def unstable_rows(scan, grid):
     p = scan.pencil.rows(tau)[0]
     _, stable, band = schur_cohn_rows(p)
     rows = ~stable & ~band
-    return assemble_rows(p[rows], tau[rows], scan.rho)
+    return direct_q_rows(p[rows], tau[rows], scan.rho)
 
 
 class TestCohnLabels:
@@ -639,7 +701,7 @@ class TestCohnLabels:
             )
             tau = np.exp(1j * rng.uniform(0.0, TWO_PI, size=8))
             rho = np.concatenate([rng.normal(size=k) + 1j * rng.normal(size=k), [1.0]])
-            q = assemble_rows(p, tau, rho)
+            q = direct_q_rows(p, tau, rho)
             n = q.shape[1] - 1
             rho_t = q[:, 1:] * (np.arange(1, n + 1) / n)
             rebuilt = np.zeros_like(q)

@@ -10,6 +10,7 @@ import circlequad
 from circlequad.config import Tolerances
 
 SRC = pathlib.Path(circlequad.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_every_tolerance_is_read():
@@ -41,10 +42,10 @@ def test_every_local_tolerance_says_why():
 
 
 def test_no_unused_imports():
-    # a name a module imports and never reads is dead weight; __init__.py
-    # imports to re-export, and a __future__ import is a directive
+    # a name a module or test file imports and never reads is dead weight;
+    # __init__.py imports to re-export, and a __future__ import is a directive
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

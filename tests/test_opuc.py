@@ -1,5 +1,4 @@
 import cmath
-import math
 import re
 
 import numpy as np

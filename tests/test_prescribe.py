@@ -20,10 +20,13 @@ from circlequad import (
     radau,
     radau_arc_admissible,
     tau_for_omega,
+    tau_pencil,
     three_nodes,
     zeros_on_circle,
 )
 from circlequad.errors import (
+    ConditionViolationError,
+    InternalConsistencyError,
     InvalidParameterError,
     NoSolutionError,
 )
@@ -112,7 +115,7 @@ class TestLobatto2:
     def test_degenerate_configuration(self, lebesgue):
         # Lebesgue, n = 4, antipodal nodes: f1 a1 = f2 a2, single legal tau
         mu, deltas = chain(lebesgue, 4, 1)
-        res = lobatto2(deltas, 4, unit(0.0), unit(math.pi), -1.0 + 0j, t=0.5)
+        res = lobatto2(deltas, 4, unit(0.0), unit(math.pi), -1.0 + 0j)
         assert res.diagnostics["degenerate_case"]
         assert abs(res.diagnostics["eta"]) < 1e-14
         with pytest.raises(NoSolutionError):
@@ -273,6 +276,25 @@ class TestPrescribe2lp1:
             prescribe_2lp1(deltas, 9, 2, [unit(0.1), unit(0.2)])
 
 
+class TestConditionLimit:
+    """Both node systems refuse an ill-conditioned matrix by one condition."""
+
+    # three nodes within 2e-6 rad of each other
+    NODES = [0.3, 0.3 + 1e-6, 0.3 + 2e-6, 3.5, 5.0]
+
+    def test_odd_solve(self, rogers_half):
+        # the 5 x 5 system of 2*ell + 1 nodes: condition number 1.9e12
+        _, deltas = chain(rogers_half, 9, 2)
+        with pytest.raises(ConditionViolationError):
+            prescribe_2lp1(deltas, 9, 2, [unit(t) for t in self.NODES])
+
+    def test_pencil(self, rogers_half):
+        # the coupled 4 x 4 system of the first 2*ell nodes: 2.9e12
+        _, deltas = chain(rogers_half, 9, 2)
+        with pytest.raises(ConditionViolationError):
+            prescribe_2l(deltas, 9, 2, [unit(t) for t in self.NODES[:4]], 1.0 + 0j)
+
+
 class TestEmptyPrescription:
     """ell = 0 on the general paths: no nodes give P = 1, one node Radau."""
 
@@ -386,6 +408,26 @@ class TestTauForOmega:
             assert len(sols) <= 2
             if not degenerate:
                 assert any(abs(s - tau0) < 1e-7 for s in sols)
+
+    def test_every_tau_passes_the_coupling_check(self):
+        # a prescribe-mix request (seed 7, request 756) whose quadratic has a
+        # root on the circle at which the coupled solve is invalid
+        measure = MeasureSpec("rogers_szego", q=0.8131229205294341)
+        n, ell = 9, 4
+        alphas = [unit(t) for t in [
+            0.3847711801215336, 1.7415831939574744, 1.9219838327343757, 3.5940419856623236,
+            4.0581432442250005, 4.121597818655432, 4.276273279303981, 4.816670220374784,
+        ]]
+        _, deltas = chain(measure, n, ell)
+        sols, degenerate = tau_for_omega(deltas, n, ell, alphas, cmath.exp(0.45142665261666515j))
+        assert not degenerate and sols
+        pencil = tau_pencil(deltas, n, ell, alphas)
+        assert all(pencil.rows([tau])[1][0] for tau in sols)
+        # the root left out: prescribe_2l refuses it on the coupling check
+        dropped = 0.6932574933061628 + 0.7206899804873492j
+        assert all(abs(tau - dropped) > 1e-6 for tau in sols)
+        with pytest.raises(InternalConsistencyError, match="coupling"):
+            prescribe_2l(deltas, n, ell, alphas, dropped)
 
     def test_omega_validated(self, lebesgue):
         mu, deltas = chain(lebesgue, 4, 0)

@@ -9,7 +9,6 @@ from circlequad import (
     MeasureSpec,
     MomentSequence,
     QpopucSpec,
-    UnitPoint,
     assemble,
     build_rule,
     from_zeros,
