@@ -45,7 +45,6 @@ from .quadrature import (
     build_rule,
     scan_tau,
     verify_exactness,
-    weights,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +90,6 @@ __all__ = [
     "tau_pencil",
     "QuadRule",
     "TauScan",
-    "weights",
     "build_rule",
     "verify_exactness",
     "scan_tau",

@@ -1,5 +1,7 @@
 """Hot numeric kernels on arrays of circle points: the pointwise Szego
-recursion and the split Blaschke phase of the node solve (numpy only).
+recursion, the split Blaschke phase of the node solve, and the Pruefer
+pass that certifies the solved nodes and gives their weights (numpy
+only).
 """
 
 import numpy as np
@@ -37,26 +39,44 @@ def blaschke_values(deltas, z):
 
 
 def blaschke_phase_slope(deltas, z):
-    """F_n and d/dtheta arg F_n(e^{i theta}) at circle points ``z``.
+    """F_n, its phase slope psi' = d/dtheta arg F_n(e^{i theta}) and the
+    Christoffel numbers of the chain's unit-mass measure, at circle
+    points ``z``.
 
-    The Szego recursion is carried together with its z-derivative, so
-    the slope psi' = Re(1 + z rho'/rho - z rho*'/rho*) needs neither the
-    zeros of rho_{n-1} nor its coefficients.
+    The Pruefer form of the Szego recursion runs forward from F_1 = z and
+    psi'_1 = 1, as the forward steps of ``_phase_steps`` do: with
+    y = 1 + conj(delta_j) F_j,
+    F_{j+1} = z (F_j + delta_j) / y,
+    psi'_{j+1} = 1 + psi'_j (1 - |delta_j|^2) / |y|^2.
+    On the circle rho*_j = y rho*_{j-1}, so the orthonormal
+    phi_{n-1} = rho_{n-1} / prod_j (1 - |delta_j|^2)^(1/2) has
+    log |phi_{n-1}|^2 = sum log |y|^2 - sum log(1 - |delta_j|^2), and by
+    Christoffel-Darboux sum_{k<n} |phi_k|^2 = psi'_n |phi_{n-1}|^2. The
+    Christoffel number 1 / sum_{k<n} |phi_k(z)|^2 is then
+    exp(-log |phi_{n-1}|^2) / psi'_n: positive, and neither rho nor its
+    derivative is formed, so nothing overflows. Each step runs in
+    preallocated buffers, as in ``_phase_steps``.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
-    rho = np.ones(z.shape, dtype=np.complex128)
-    rho_star = np.ones(z.shape, dtype=np.complex128)
-    drho = np.zeros(z.shape, dtype=np.complex128)
-    drho_star = np.zeros(z.shape, dtype=np.complex128)
-    for d in np.asarray(deltas, dtype=np.complex128):
-        dc = np.conj(d)
-        zr = z * rho
-        dzr = rho + z * drho
-        rho, rho_star = zr + d * rho_star, dc * zr + rho_star
-        drho, drho_star = dzr + d * drho_star, dc * dzr + drho_star
-    f = z * rho / rho_star
-    slope = (1.0 + z * (drho / rho - drho_star / rho_star)).real
-    return f, slope
+    deltas = np.asarray(deltas, dtype=np.complex128)
+    shrink = 1.0 - (deltas.real**2 + deltas.imag**2)
+    f, y = z.copy(), np.empty_like(z)
+    slope, log_abs2 = np.ones(z.shape), np.zeros(z.shape)
+    term, abs2 = np.empty(z.shape), np.empty(z.shape)
+    for d, dc, cj in zip(deltas, np.conj(deltas), shrink):
+        np.multiply(dc, f, out=y)
+        y += 1.0
+        f += d
+        f *= z
+        f /= y
+        np.multiply(y.real, y.real, out=abs2)
+        abs2 += np.multiply(y.imag, y.imag, out=term)
+        slope *= cj
+        slope /= abs2
+        slope += 1.0
+        log_abs2 += np.log(abs2, out=abs2)
+    christoffel = np.exp(np.sum(np.log(shrink)) - log_abs2) / slope
+    return f, slope, christoffel
 
 
 def split_phase(deltas, theta, target):

@@ -79,12 +79,15 @@ def points_z(points) -> np.ndarray:
 class UnitPoints(Sequence):
     """A read-only sequence of circle points kept as one array of angles;
     each item is made as a ``UnitPoint`` when it is read, so n points
-    cost 8 bytes each instead of three Python objects."""
+    cost 8 bytes each instead of three Python objects. The node set of a
+    ``blaschke_solve`` also keeps the weights of its Szego rule; other
+    point sets, slices included, have ``weights`` None."""
 
-    __slots__ = ("theta",)
+    __slots__ = ("theta", "weights")
 
-    def __init__(self, theta):
+    def __init__(self, theta, weights=None):
         self.theta = theta
+        self.weights = weights
 
     @property
     def z(self) -> np.ndarray:
@@ -338,22 +341,26 @@ def _bracket(params, target):
 
 
 def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints:
-    """All n solutions of F_n(z) = target on the unit circle.
+    """All n solutions of F_n(z) = target on the unit circle, with the
+    weights of their Szego rule.
 
     The solutions are the zeros of the paraorthogonal polynomial
     z rho_{n-1} - target rho*_{n-1}. The argument of F_n rises strictly,
     by 2 pi n, around the circle, so each solution is bracketed on its
     own and solved by Newton steps on the split phase of ``split_phase``
     (a Pruefer-type phase), O(n) work per root (``_solve_angles``).
-    Every root is then accepted only after a residual check scaled by
-    the phase slope, taken from the Szego recursion independently of
-    that solve, and the set only when no two roots nearly coincide.
+    One forward Pruefer pass over the roots (``blaschke_phase_slope``),
+    independent of that solve, certifies them: each root by a residual
+    check on F_n scaled by the phase slope, the set by a minimum gap. The
+    same pass gives the node set's ``weights``, the chain's Christoffel
+    numbers times mu_0 = ``deltas.norms[0]``: its Szego rule, positive by
+    construction.
     """
     if abs(abs(target) - 1.0) > TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
     params = deltas.params(n - 1)
     theta = np.sort(wrap_theta(_solve_angles(params, target)))
-    f, slope = blaschke_phase_slope(params, np.exp(1j * theta))
+    f, slope, christoffel = blaschke_phase_slope(params, np.exp(1j * theta))
     # |F - target| scales with the local phase slope, which peaks when
     # chain zeros sit very close to the circle; the per-root tolerance
     # reflects a theta accuracy of a few Newton stops
@@ -365,7 +372,7 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints
         )
     if not np.min(np.diff(theta, append=theta[0] + TWO_PI)) > TOL.root_gap:
         raise InternalConsistencyError("near-duplicate Blaschke roots detected")
-    return UnitPoints(theta)
+    return UnitPoints(theta, deltas.norms[0] * christoffel)
 
 
 @dataclass

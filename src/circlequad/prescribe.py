@@ -425,7 +425,8 @@ def prescribe_2l(
     diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
     admissible = _schur_admissible(poly, diagnostics)
     spec = QpopucSpec(n, ell, poly, tau)
-    _check_residual(spec, deltas, alphas, TOL.node_residual)
+    if ell:  # at ell = 0 there is no node to check
+        _check_residual(spec, deltas, alphas, TOL.node_residual)
     return PrescriptionResult(spec, admissible, diagnostics)
 
 

@@ -182,14 +182,17 @@ def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> 
 
 
 def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> UnitPoints:
-    """All n zeros of Q on the unit circle via the modified chain.
+    """All n zeros of Q on the unit circle via the modified chain, with
+    the weights of their rule.
 
     With Q = z rho~_{n-1} + tau rho~*_{n-1}, Q is paraorthogonal for the
     modified chain, and its zeros are the solutions of the Blaschke
     equation F~_n(z) = -tau: ``blaschke_solve`` brackets each one on the
     phase of F~_n split at ceil(n/2), as for any chain, solves it by
-    Newton steps and certifies it. The nodal residual |Q(z)| is then
-    checked against the directly assembled Q.
+    Newton steps and certifies it. Its node set carries the Christoffel
+    numbers of the modified chain as ``weights``, which are passed on.
+    The nodal residual |Q(z)| is then checked against the directly
+    assembled Q.
     """
     q = assemble(spec, deltas)
     pts = blaschke_solve(_modified_chain(spec, deltas, q), spec.n, -spec.tau)

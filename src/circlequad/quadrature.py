@@ -1,12 +1,12 @@
-"""Quadrature rules on the unit circle: weight solving, exactness
-verification, rule assembly, and the tau-grid scanner.
+"""Quadrature rules on the unit circle: rule assembly, exactness
+verification, and the tau-grid scanner.
 
 A rule {(z_s, lambda_s)} built from an (n, ell) spec integrates all
 Laurent monomials z**k, |k| <= m = n - ell - 1, exactly, plus the single
-extra element z**(m+1) - omega * z**-(m+1). Weights are recovered from
-the full moment-matching system; its residual doubles as the
-certificate that the nodal polynomial really was quasi-paraorthogonal
-for the measure.
+extra element z**(m+1) - omega * z**-(m+1). The weights come with the
+nodes from the node solve, as the Christoffel numbers of the modified
+chain; their moment residual over |k| <= m is the certificate that the
+nodal polynomial really was quasi-paraorthogonal for the measure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .opuc import (
     MomentSequence,
     SchurSequence,
     UnitPoint,
+    UnitPoints,
     points_z,
     schur_cohn_rows,
     wrap_theta,
@@ -145,47 +146,6 @@ def _power_table(z, order: int) -> np.ndarray:
     return table
 
 
-def weights_rows(z, mu_arr, mu0: float):
-    """Batch kernel of ``weights``: nodes z (batch, n) and the moments
-    mu_{-m}..mu_m give the weights (batch, n) by stacked least squares
-    on the real/imaginary system, and per row whether the moment
-    residual stays within TOL.weight_residual * mu_0.
-
-    For unimodular nodes and real weights the equations for z**-k are
-    the conjugates of those for z**k, so the system keeps the real rows
-    of k = 0..m and the imaginary rows of k = 1..m, those of k >= 1
-    scaled by sqrt(2): the same least-squares problem at half the size.
-    The triangular factor of [A | b] holds R and Q^T b of A = QR, so Q
-    is never formed.
-    """
-    z = np.asarray(z, dtype=complex)
-    rows, n = z.shape
-    m = (len(mu_arr) - 1) // 2
-    scale = np.full(m + 1, math.sqrt(2.0))
-    scale[0] = 1.0
-    pos = _power_table(z, m)
-    pos *= scale[:, None]
-    mu_pos = mu_arr[m:] * scale
-    aug = np.empty((rows, 2 * m + 1, n + 1))
-    aug[:, : m + 1, :n], aug[:, m + 1 :, :n] = pos.real, pos.imag[:, 1:]
-    aug[:, : m + 1, n], aug[:, m + 1 :, n] = mu_pos.real, mu_pos.imag[1:]
-    del pos  # [A | b] also gives the residual; keep one copy of A
-    # "raw" returns the factored copy of [A | b] transposed, R in its
-    # upper triangle, with no triu copy of R
-    r = np.linalg.qr(aug, mode="raw")[0].swapaxes(1, 2)
-    # back substitution; a zero pivot leaves NaN weights, which fail the
-    # residual check below
-    lam = np.zeros((rows, n))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1):
-            lam[:, i] = (r[:, i, n] - np.sum(r[:, i, i + 1 : n] * lam[:, i + 1 :], axis=1)) / r[:, i, i]
-    fit = np.matmul(aug[:, :, :n], lam[:, :, None])[:, :, 0] - aug[:, :, n]
-    # |sum lam z**k - mu_k| for k = 0..m; the k = 0 imaginary part is -Im mu_0
-    fit_im = np.concatenate([np.full((rows, 1), -mu_pos.imag[0]), fit[:, m + 1 :]], axis=1)
-    resid = np.max(np.abs(fit[:, : m + 1] + 1j * fit_im) / scale, axis=1)
-    return lam, resid <= TOL.weight_residual * mu0, resid
-
-
 def weight_checks(lam, mu0: float):
     """Per row of weights: (positive, sum_ok). Every weight must exceed
     TOL.weight_positive, and the weights must sum to mu_0 within
@@ -195,29 +155,28 @@ def weight_checks(lam, mu0: float):
     return positive, sum_ok
 
 
-def weights(nodes, mu: MomentSequence, m: int) -> np.ndarray:
-    """Weights matching all moments mu_k, |k| <= m, in least squares.
-
-    The stacked real/imaginary system is consistent exactly when the
-    nodes are the zeros of a quasi-paraorthogonal polynomial of the
-    measure; an inconsistent system is reported as such instead of
-    returning a best-fit rule.
+def weights(nodes: UnitPoints, mu: MomentSequence, m: int) -> np.ndarray:
+    """The weights step of ``build_rule``: the Christoffel numbers that
+    ``blaschke_solve`` left on ``nodes``, accepted only when they match
+    every moment mu_k, |k| <= m, within TOL.weight_residual * mu_0. They
+    make the modified chain's Szego rule, exact for mu on |k| <= m when
+    the chain starts with mu's first m reflection coefficients; a larger
+    residual means the nodes are not those of a quasi-paraorthogonal
+    polynomial for this measure.
     """
-    n = len(nodes)
-    if 2 * m + 1 < n:
-        raise InvalidParameterError(f"2m + 1 = {2 * m + 1} rows cannot pin {n} weights")
     if mu.order < m:
         raise InvalidParameterError(f"need moments to order {m}, have {mu.order}")
-    z = points_z(nodes)[None]
+    lam = nodes.weights
     mu0 = float(mu.get(0).real)
-    lam, ok, resid = weights_rows(z, mu.array(-m, m), mu0)
-    if not ok[0]:
+    # for real weights the sums over z**-k are the conjugates
+    resid = np.max(np.abs(_power_table(nodes.z, m) @ lam - mu.mu[: m + 1]))
+    if not resid <= TOL.weight_residual * mu0:
         raise NodesNotQuadratureError(
-            f"moment-matching residual {resid[0]:.3e} exceeds "
+            f"moment-matching residual {resid:.3e} exceeds "
             f"{TOL.weight_residual * mu0:.1e}; the nodes are not the zeros of a "
             "quasi-paraorthogonal polynomial for this measure"
         )
-    return lam[0]
+    return lam
 
 
 def build_rule(
@@ -228,8 +187,10 @@ def build_rule(
 ) -> QuadRule:
     """Full positive rule for an admissible spec.
 
-    The moments and reflection coefficients of ``moment_chain`` may be
-    passed, together, to avoid recomputing them for every rule.
+    Nodes and weights come from one node solve (``zeros_on_circle``);
+    ``weights`` and ``weight_checks`` gate the weights. The moments and
+    reflection coefficients of ``moment_chain`` may be passed, together,
+    to avoid recomputing them for every rule.
     """
     m = spec.n - spec.ell - 1
     if mu is None or deltas is None:

@@ -1,5 +1,6 @@
-"""Helpers shared by the test modules: chains, points and the per-point
-oracles of the batched code paths.
+"""Helpers shared by the test modules: chains, points, the per-point
+oracles of the batched code paths, and the least-squares oracle of a
+rule's weights.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -19,10 +20,24 @@ from circlequad import (
     moment_chain,
     prescribe_2l,
 )
-from circlequad.errors import CircleQuadError, PositivityViolationError
+from circlequad.config import TOL
+from circlequad.errors import (
+    CircleQuadError,
+    InvalidParameterError,
+    NodesNotQuadratureError,
+    PositivityViolationError,
+)
+from circlequad.opuc import points_z
 from circlequad.poly import ONE
 from circlequad.prescribe import _f_values, _vandermonde
-from circlequad.quadrature import GREEN, RED_BOUNDARY, RED_WEIGHTS, _LABELS, _root_codes
+from circlequad.quadrature import (
+    GREEN,
+    RED_BOUNDARY,
+    RED_WEIGHTS,
+    _LABELS,
+    _power_table,
+    _root_codes,
+)
 
 
 def unit(theta):
@@ -35,6 +50,77 @@ def random_tau(rng):
 
 # (moments, reflection coefficients) sized for an (n, ell) rule
 chain = moment_chain
+
+
+def lstsq_weights_rows(z, mu_arr, mu0: float):
+    """Nodes z (batch, n) and the moments mu_{-m}..mu_m give the weights
+    (batch, n) by stacked least squares on the real/imaginary moment
+    system, the residual max_k |sum lam z**k - mu_k| per row, and per row
+    whether it stays within TOL.weight_residual * mu_0.
+
+    For unimodular nodes and real weights the equations for z**-k are
+    the conjugates of those for z**k, so the system keeps the real rows
+    of k = 0..m and the imaginary rows of k = 1..m, those of k >= 1
+    scaled by sqrt(2): the same least-squares problem at half the size.
+    The triangular factor of [A | b] holds R and Q^T b of A = QR, so Q
+    is never formed.
+    """
+    z = np.asarray(z, dtype=complex)
+    rows, n = z.shape
+    m = (len(mu_arr) - 1) // 2
+    scale = np.full(m + 1, math.sqrt(2.0))
+    scale[0] = 1.0
+    pos = _power_table(z, m)
+    pos *= scale[:, None]
+    mu_pos = mu_arr[m:] * scale
+    aug = np.empty((rows, 2 * m + 1, n + 1))
+    aug[:, : m + 1, :n], aug[:, m + 1 :, :n] = pos.real, pos.imag[:, 1:]
+    aug[:, : m + 1, n], aug[:, m + 1 :, n] = mu_pos.real, mu_pos.imag[1:]
+    # "raw" returns the factored copy of [A | b] transposed, R in its
+    # upper triangle
+    r = np.linalg.qr(aug, mode="raw")[0].swapaxes(1, 2)
+    # back substitution; a zero pivot leaves NaN weights, which fail the
+    # residual check below
+    lam = np.zeros((rows, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1):
+            lam[:, i] = (r[:, i, n] - np.sum(r[:, i, i + 1 : n] * lam[:, i + 1 :], axis=1)) / r[:, i, i]
+    fit = np.matmul(aug[:, :, :n], lam[:, :, None])[:, :, 0] - aug[:, :, n]
+    # |sum lam z**k - mu_k| for k = 0..m; the k = 0 imaginary part is -Im mu_0
+    fit_im = np.concatenate([np.full((rows, 1), -mu_pos.imag[0]), fit[:, m + 1 :]], axis=1)
+    resid = np.max(np.abs(fit[:, : m + 1] + 1j * fit_im) / scale, axis=1)
+    return lam, resid <= TOL.weight_residual * mu0, resid
+
+
+def lstsq_weights(nodes, mu, m: int) -> np.ndarray:
+    """The weights at ``nodes`` that match all moments mu_k, |k| <= m, in
+    least squares: the oracle of the Christoffel weights of a built rule.
+    Too few moment rows raise InvalidParameterError, and a residual above
+    TOL.weight_residual * mu_0 raises NodesNotQuadratureError."""
+    n = len(nodes)
+    if 2 * m + 1 < n:
+        raise InvalidParameterError(f"2m + 1 = {2 * m + 1} rows cannot pin {n} weights")
+    mu0 = float(mu.get(0).real)
+    lam, ok, resid = lstsq_weights_rows(points_z(nodes)[None], mu.array(-m, m), mu0)
+    if not ok[0]:
+        raise NodesNotQuadratureError(f"moment-matching residual {resid[0]:.3e}")
+    return lam[0]
+
+
+def direct_christoffel(params, mu0: float, z) -> np.ndarray:
+    """mu_0 / sum_{k<n} |phi_k(z)|^2 for the chain params = delta_1..delta_{n-1}
+    at points z: the Christoffel numbers by their definition, from the
+    plain Szego recursion and the running norms, without
+    Christoffel-Darboux. It overflows where rho does, so it serves
+    small n and chains away from the circle."""
+    z = np.asarray(z, dtype=complex)
+    rho, star = np.ones_like(z), np.ones_like(z)
+    norm, total = 1.0, np.ones(z.shape)
+    for d in params:
+        rho, star = z * rho + d * star, np.conj(d) * z * rho + star
+        norm *= 1.0 - abs(d) ** 2
+        total += np.abs(rho) ** 2 / norm
+    return mu0 / total
 
 
 def direct_coefficients(deltas, n, ell, alphas, tau):

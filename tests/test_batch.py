@@ -44,7 +44,6 @@ from circlequad.quadrature import (
     _Scan,
     scan_grid,
     weight_checks,
-    weights_rows,
 )
 
 from circlequad_helpers import (
@@ -53,6 +52,7 @@ from circlequad_helpers import (
     direct_coefficients,
     direct_q_rows,
     elimination_pencil,
+    lstsq_weights_rows,
     unit,
 )
 
@@ -612,7 +612,7 @@ def companion_codes(q, mu_arr, mu0):
     on_circle = np.max(np.abs(mod - 1.0), axis=1) <= 1e-6
     gaps = np.abs(roots[:, :, None] - roots[:, None, :]) + np.eye(d)
     simple = np.min(gaps, axis=(1, 2)) >= 1e-8
-    lam, resid_ok, resid = weights_rows(roots / mod, mu_arr, mu0)
+    lam, resid_ok, resid = lstsq_weights_rows(roots / mod, mu_arr, mu0)
     positive, _ = weight_checks(lam, mu0)
     signed = resid_ok & (np.abs(np.min(lam, axis=1)) > resid)
     return np.select(

@@ -60,3 +60,9 @@ def test_no_unused_imports():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{row}: {name}" for name, row in imported.items() if name not in read]
     assert unused == []
+
+
+def test_all_exports_resolve():
+    # a name left in __all__ after its object is gone breaks star imports
+    missing = [name for name in circlequad.__all__ if not hasattr(circlequad, name)]
+    assert missing == []

@@ -29,9 +29,10 @@ from circlequad.errors import (
     NotPositiveDefiniteError,
 )
 from circlequad.measures import MeasureSpec, moments
+from circlequad.config import TOL
 from circlequad.opuc import TWO_PI, wrap_theta
 
-from circlequad_helpers import chain
+from circlequad_helpers import chain, direct_christoffel
 
 
 def cmv_eigenvalues(alpha):
@@ -309,6 +310,33 @@ class TestBlaschke:
         levels = (forward_phase(d, thetas) - cmath.phase(target)) / TWO_PI
         assert np.max(np.abs(levels - np.round(levels))) < 0.1
         assert np.array_equal(np.diff(np.round(levels)), np.ones(n - 1))
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_weights_in_the_gap_of_an_arc_chain(self, n):
+        # the Geronimus chain |delta| = 0.8645 has a gap where phi_{n-1}
+        # grows like 4^n; the Pruefer pass keeps log |phi|^2, so the
+        # weights there underflow towards 0 with no overflow or warning
+        s = SchurSequence.from_params(np.full(n - 1, 0.8645))
+        lam = blaschke_solve(s, n, cmath.exp(0.3j)).weights
+        assert len(lam) == n and np.min(lam) >= 0.0
+        assert abs(np.sum(lam) - s.norms[0]) <= TOL.weight_sum * s.norms[0]
+
+    def test_weights_are_the_christoffel_numbers(self, rng):
+        # against their definition mu_0 / sum_{k<n} |phi_k|^2, on chains
+        # with a last parameter near the circle too, where the two round
+        # 1 - |delta|^2 differently: 5e-12 relative to a weight of 2e-7
+        for last in (None, 0.999, 0.99999):
+            for _ in range(10):
+                n = int(rng.integers(2, 25))
+                d = 0.9 * rng.uniform(0.0, 1.0, size=n - 1) * np.exp(
+                    1j * rng.uniform(0, TWO_PI, size=n - 1)
+                )
+                if last is not None:
+                    d[-1] = last * np.exp(1j * rng.uniform(0, TWO_PI))
+                s = SchurSequence.from_params(d, e0=2.5)
+                pts = blaschke_solve(s, n, cmath.exp(1j * rng.uniform(0, TWO_PI)))
+                want = direct_christoffel(d, 2.5, pts.z)
+                assert np.max(np.abs(pts.weights - want)) <= 1e-14 * 2.5
 
     def test_certificate_catches_duplicate_root(self, monkeypatch):
         s = SchurSequence.from_params(0.5 * np.exp(1j * np.arange(1, 12)))

@@ -30,6 +30,7 @@ from circlequad.errors import (
     InvalidParameterError,
     NoSolutionError,
 )
+from circlequad import prescribe
 from circlequad.poly import ONE
 from circlequad.qpopuc import orthogonality_params
 
@@ -309,6 +310,14 @@ class TestEmptyPrescription:
         want = build_rule(rogers_half, QpopucSpec(n, 0, ONE, tau), mu=mu, deltas=deltas)
         assert [p.theta for p in got.nodes] == [p.theta for p in want.nodes]
         assert got.weights.tobytes() == want.weights.tobytes()
+
+    def test_prescribe_2l_assembles_nothing(self, rogers_half, monkeypatch):
+        # with no nodes there is no nodal residual to check, so no Q
+        calls = []
+        monkeypatch.setattr(prescribe, "assemble", lambda *args: calls.append(args))
+        _, deltas = chain(rogers_half, 16, 0)
+        assert prescribe_2l(deltas, 16, 0, [], 1j).admissible
+        assert calls == []
 
     def test_prescribe_2lp1_is_radau(self, rogers_half, rng):
         n = 12
