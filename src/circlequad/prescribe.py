@@ -2,11 +2,16 @@
 
 Given reflection coefficients of the measure and up to 2*ell + 1 points
 on the unit circle, these routines produce a spec (n, ell, P, tau) whose
-polynomial Q vanishes at the prescribed points. Variants: one node
-(Radau), two nodes with free tau (Lobatto), three nodes (tau determined),
-the general 2*ell and 2*ell + 1 node systems, arc-endpoint rules built on
-the endpoint-modified measure, and recovering tau from a target
-exactness parameter omega.
+polynomial Q vanishes at the prescribed points. There is one solve per
+node-count parity, for every ell >= 0: ``prescribe_2l`` (2*ell nodes,
+tau given) on the coupled ``tau_pencil``, and ``prescribe_2lp1``
+(2*ell + 1 nodes, tau determined) on ``_odd_solve``. Both end the same
+way: the Schur-Cohn verdict on P, then the prescribed-node residual on
+an admissible P. One node (Radau), two nodes (Lobatto) and three nodes
+are their ell = 0 and ell = 1 members, read by ``radau``, ``lobatto2``
+and ``three_nodes``. Besides these: arc-endpoint rules built on the
+endpoint-modified measure, and recovering tau from a target exactness
+parameter omega.
 
 Throughout, f_i = conj(F_{n-ell}(alpha_i)) where F_k is the Blaschke
 quotient z rho_{k-1} / rho*_{k-1}.
@@ -29,7 +34,7 @@ from .errors import (
     NoSolutionError,
 )
 from ._kernels import blaschke_values
-from .measures import ArcSpec, in_open_arc, modified_hat_moments, same_orientation
+from .measures import ArcSpec, in_open_arc, modified_hat_moments
 from .opuc import (
     TWO_PI,
     MomentSequence,
@@ -42,7 +47,7 @@ from .opuc import (
     schur_from_moments,
     wrap_theta,
 )
-from .poly import ONE, ComplexPoly, from_zeros
+from .poly import ComplexPoly, from_zeros
 from .qpopuc import QpopucSpec, assemble, residual_rows
 
 
@@ -62,10 +67,10 @@ def _f_values(deltas: SchurSequence, n: int, ell: int, alphas) -> np.ndarray:
     return np.conj(blaschke_values(deltas.params(n - ell - 1), z))
 
 
-def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas, tol_rel):
+def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas) -> float:
     q = assemble(spec, deltas)
     z = np.array([a.z for a in alphas], dtype=complex)
-    ok, resid, limit = residual_rows(q.coeffs[None], z, tol_rel)
+    ok, resid, limit = residual_rows(q.coeffs[None], z, TOL.node_residual)
     if not ok[0]:
         raise InternalConsistencyError(
             f"prescribed-node residual {resid[0]:.3e} exceeds {limit[0]:.3e}"
@@ -73,20 +78,38 @@ def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas, tol_rel):
     return float(resid[0])
 
 
+def _verdict(spec: QpopucSpec, deltas: SchurSequence, alphas, diagnostics: dict):
+    """The steps after the solve, the same for every ell: the Schur-Cohn
+    verdict on P, then, on an admissible P with nodes to check, the
+    prescribed-node residual. An unstable P is an inadmissible answer;
+    its Q need not vanish at the nodes to working precision, since the
+    solve behind it may be ill-conditioned. A P of degree ell >= 1 is
+    recorded by eta = -P(0), its zero at ell = 1, and a checked residual
+    under ``residual``."""
+    if spec.ell:  # P = 1 has no zero
+        diagnostics["eta"] = complex(-spec.P.coeffs[0])
+    admissible = _schur_admissible(spec.P, diagnostics)
+    if admissible and len(alphas):
+        diagnostics["residual"] = _check_residual(spec, deltas, alphas)
+    return PrescriptionResult(spec, admissible, diagnostics)
+
+
+def _schur_admissible(poly: ComplexPoly, diagnostics: dict) -> bool:
+    """Schur-Cohn verdict on P; a boundary-band hit is inadmissible and
+    recorded under ``boundary_degenerate``."""
+    try:
+        sc = schur_cohn(poly)
+    except BoundaryDegenerateError as exc:
+        diagnostics["boundary_degenerate"] = str(exc)
+        return False
+    diagnostics["schur_params"] = sc.params
+    return sc.stable
+
+
 def radau(deltas: SchurSequence, n: int, alpha: UnitPoint) -> PrescriptionResult:
-    """One prescribed node (ell = 0): tau = -F_n(alpha)."""
-    if n < 2:
-        raise InvalidParameterError("radau requires n >= 2")
-    tau = -blaschke_eval(deltas, n, alpha.z)
-    spec = QpopucSpec(n, 0, ONE, tau)
-    # tighter than TOL.node_residual: tau = -F_n(alpha) makes Q(alpha)
-    # vanish up to one Blaschke evaluation's rounding
-    resid = _check_residual(spec, deltas, [alpha], 1e-11)
-    return PrescriptionResult(
-        spec,
-        admissible=True,
-        diagnostics={"f_values": [np.conj(-tau)], "residual": resid},
-    )
+    """One prescribed node: ``prescribe_2lp1`` at ell = 0, where P = 1
+    and tau = -F_n(alpha)."""
+    return prescribe_2lp1(deltas, n, 0, [alpha])
 
 
 def radau_arc_admissible(deltas: SchurSequence, n: int, tau: complex, arc: ArcSpec) -> bool:
@@ -107,93 +130,39 @@ def lobatto2(
     alpha2: UnitPoint,
     tau: complex,
 ) -> PrescriptionResult:
-    """Two prescribed nodes, free tau (ell = 1).
+    """Two prescribed nodes, free tau: ``prescribe_2l`` at ell = 1.
 
-    Generic case: the single zero of P is eta = c12 + tau * a12, read
-    off the ell = 1 ``tau_pencil``; in closed form
-    conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
-    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2). Admissible iff |eta| < 1,
-    outside the Schur-Cohn boundary band. In the degenerate case
-    f1 a1 = f2 a2 only one tau works, and eta, free along the chord
-    between the nodes, is taken at its midpoint (``TauPencil.affine``).
+    P(z) = z - eta, with eta affine in tau, so the admissible tau form
+    one arc of ``tau_arcs``, recorded as ``tau_arc``. In the degenerate
+    case f1 a1 = f2 a2 (``degenerate_case``) only one tau works, and eta,
+    free along the chord between the nodes, is taken at its midpoint
+    (``TauPencil.affine``); there is no arc.
     """
     alphas = [alpha1, alpha2]
-    return _lobatto2(tau_pencil(deltas, n, 1, alphas), deltas, n, alphas, tau)
-
-
-def _lobatto2(pencil, deltas, n, alphas, tau) -> PrescriptionResult:
-    """``lobatto2`` on the factored two-node pencil."""
-    pencil.require_solvable()
-    a1, a2 = pencil.nodes
-    f1, f2 = pencil.f
-    diagnostics = {"f_values": [f1, f2], "degenerate_case": pencil.degenerate}
-    p = _pencil_row(pencil, tau)
-    if not pencil.degenerate:
-        diagnostics.update(c12=complex(-pencil.b[0]), a12=complex(-pencil.a[0]))
-        # admissible-tau arc: from a1*conj(f2) over the midpoint direction
-        # to a2*conj(f1)
-        x = a1 * np.conj(f2)
-        y = a2 * np.conj(f1)
-        c = -((np.conj(f1) - np.conj(f2)) / abs(f1 - f2)) * ((a1 - a2) / abs(a1 - a2))
-        if in_open_arc(c, x, y):
-            diagnostics["tau_arc"] = ArcSpec(
-                UnitPoint.from_complex(x), UnitPoint.from_complex(y)
-            )
-        else:
-            diagnostics["tau_arc"] = ArcSpec(
-                UnitPoint.from_complex(y), UnitPoint.from_complex(x)
-            )
-    diagnostics["eta"] = complex(-p[0])
-    spec = QpopucSpec(n, 1, ComplexPoly(p), tau)
-    admissible = _schur_admissible(spec.P, diagnostics)
-    if admissible:
-        _check_residual(spec, deltas, alphas, TOL.node_residual)
-    return PrescriptionResult(spec, admissible, diagnostics)
-
-
-def _schur_admissible(poly: ComplexPoly, diagnostics: dict) -> bool:
-    """Schur-Cohn verdict on P; a boundary-band hit is inadmissible and
-    recorded under ``boundary_degenerate``."""
-    try:
-        sc = schur_cohn(poly)
-    except BoundaryDegenerateError as exc:
-        diagnostics["boundary_degenerate"] = str(exc)
-        return False
-    diagnostics["schur_params"] = sc.params
-    return sc.stable
+    pencil = tau_pencil(deltas, n, 1, alphas)
+    res = _pencil_answer(pencil, deltas, n, alphas, tau)
+    res.diagnostics["degenerate_case"] = pencil.degenerate
+    for start, end in tau_arcs(pencil).green:  # one arc, none when degenerate
+        res.diagnostics["tau_arc"] = ArcSpec(
+            UnitPoint.from_theta(start), UnitPoint.from_theta(end)
+        )
+    return res
 
 
 def three_nodes(
     deltas: SchurSequence, n: int, alphas: list[UnitPoint]
 ) -> PrescriptionResult:
-    """Three prescribed nodes (ell = 1): both eta and tau are determined.
+    """Three prescribed nodes: ``prescribe_2lp1`` at ell = 1, where both
+    eta and tau are determined.
 
-    The ell = 1 case of ``_odd_solve``, read as P(z) = z - eta. The
-    interpolation conditions say the map conj(tau) (z - eta)/(1 - conj(eta) z)
-    sends alpha_i to -f_i. It is a disk automorphism (|eta| < 1) exactly
-    when the alpha and f triples have the same orientation on the circle;
-    both criteria are evaluated and must agree. An inadmissible triple has
+    P(z) = z - eta, and the interpolation conditions say the map
+    conj(tau) (z - eta)/(1 - conj(eta) z) sends alpha_i to -f_i. It is a
+    disk automorphism (|eta| < 1) exactly when the alpha and f triples
+    have the same orientation on the circle. An inadmissible triple has
     ``spec`` None, with eta in the diagnostics.
     """
-    poly, tau, f, cond = _odd_solve(deltas, n, 1, alphas)
-    eta = complex(-poly.coeffs[0])
-    diagnostics = {"f_values": list(f), "eta": eta, "tau": tau, "condition": cond}
-    inside = abs(eta) < 1.0
-    # wider than TOL.disk_boundary_band: eta is read off a linear solve,
-    # not a Schur-Cohn parameter
-    if abs(abs(eta) - 1.0) <= 1e-9:
-        raise BoundaryDegenerateError(
-            f"|eta| = {abs(eta)} is within 1e-9 of the unit circle"
-        )
-    if same_orientation(tuple(a.z for a in alphas), tuple(f)) != inside:
-        raise InternalConsistencyError("orientation test and |eta| < 1 disagree")
-    if not inside:
-        return PrescriptionResult(None, False, diagnostics)
-    spec = QpopucSpec(n, 1, poly, tau)
-    # a tenth of TOL.node_residual, the three-node gate: the 3x3 solve
-    # lands far below it (under 4e-13 relative on seeded draws)
-    _check_residual(spec, deltas, alphas, 1e-10)
-    return PrescriptionResult(spec, True, diagnostics)
+    res = prescribe_2lp1(deltas, n, 1, alphas)
+    return res if res.admissible else PrescriptionResult(None, False, res.diagnostics)
 
 
 def _prescribed_nodes(alphas, n: int, ell: int, count: int) -> np.ndarray:
@@ -414,20 +383,20 @@ def prescribe_2l(
     Evaluates the ``tau_pencil`` of the interpolation conditions
     P(a_i) + tau f_i P*(a_i) = 0, the coupled solve in (p, conj(p)), at
     tau, with its conjugate coupling checked. Admissible iff P passes the
-    Schur-Cohn test. Two nodes go through ``lobatto2``; no nodes (ell = 0)
-    give the paraorthogonal P = 1, admissible at every tau.
+    Schur-Cohn test; only an admissible P has its prescribed-node
+    residual checked. No nodes (ell = 0) give the paraorthogonal P = 1,
+    admissible at every tau, with nothing to check. ``lobatto2`` reads
+    the two-node case.
     """
-    pencil = tau_pencil(deltas, n, ell, alphas)
-    if ell == 1:
-        return _lobatto2(pencil, deltas, n, alphas, tau)
+    return _pencil_answer(tau_pencil(deltas, n, ell, alphas), deltas, n, alphas, tau)
+
+
+def _pencil_answer(pencil: TauPencil, deltas, n: int, alphas, tau) -> PrescriptionResult:
+    """``prescribe_2l`` on its factored pencil."""
     pencil.require_solvable()
-    poly = ComplexPoly(_pencil_row(pencil, tau))
+    spec = QpopucSpec(n, pencil.ell, ComplexPoly(_pencil_row(pencil, tau)), tau)
     diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
-    admissible = _schur_admissible(poly, diagnostics)
-    spec = QpopucSpec(n, ell, poly, tau)
-    if ell:  # at ell = 0 there is no node to check
-        _check_residual(spec, deltas, alphas, TOL.node_residual)
-    return PrescriptionResult(spec, admissible, diagnostics)
+    return _verdict(spec, deltas, alphas, diagnostics)
 
 
 def prescribe_2lp1(
@@ -435,23 +404,14 @@ def prescribe_2lp1(
 ) -> PrescriptionResult:
     """2*ell + 1 prescribed nodes, for every ell >= 0: tau is no longer free.
 
-    Runs ``_odd_solve``; admissible iff P passes the Schur-Cohn test.
-    One node (ell = 0) goes through ``radau``, tau = -F_n(alpha). Three
-    nodes (ell = 1) go through ``three_nodes``, which reads the verdict
-    from eta and the orientation theorem instead, and whose inadmissible
-    result has ``spec`` None and eta in the diagnostics.
+    Runs ``_odd_solve``; admissible iff P passes the Schur-Cohn test, and
+    only an admissible P has its prescribed-node residual checked.
+    ``radau`` (one node, P = 1 and tau = -F_n(alpha)) and ``three_nodes``
+    read the cases ell = 0 and ell = 1.
     """
-    if ell == 0:
-        _prescribed_nodes(alphas, n, 0, 1)
-        return radau(deltas, n, alphas[0])
-    if ell == 1:
-        return three_nodes(deltas, n, alphas)
     poly, tau, f, cond = _odd_solve(deltas, n, ell, alphas)
     diagnostics = {"f_values": list(f), "condition": cond, "tau": tau}
-    admissible = _schur_admissible(poly, diagnostics)
-    spec = QpopucSpec(n, ell, poly, tau)
-    _check_residual(spec, deltas, alphas, TOL.node_residual)
-    return PrescriptionResult(spec, admissible, diagnostics)
+    return _verdict(QpopucSpec(n, ell, poly, tau), deltas, alphas, diagnostics)
 
 
 def _odd_solve(deltas: SchurSequence, n: int, ell: int, alphas):

@@ -319,8 +319,10 @@ class _Scan:
 
     def codes(self, thetas) -> np.ndarray:
         """A uint8 label code per tau angle, with no node solve and no
-        weights: the checks of ``prescribe_2l`` as masks, then green for a
-        stable P, and the zeros of Q alone (``_root_codes``) for the rest.
+        weights: the checks of ``prescribe_2l`` as masks, the same for
+        every ell (the coupling, the Schur-Cohn band, and the
+        prescribed-node residual on a stable P), then green for a stable
+        P, and the zeros of Q alone (``_root_codes``) for the rest.
         Q = tau U + V is formed only for the rows that a check reads."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
         codes = np.full(len(tau), _BOUNDARY, dtype=np.uint8)
@@ -329,9 +331,8 @@ class _Scan:
         p, ok = self.pencil.rows(tau)
         _, stable, band = schur_cohn_rows(p)
         ok &= ~band
-        if len(self.nodes):
-            # two nodes are checked only on an admissible P, more always
-            rows = np.flatnonzero(ok & stable if self.ell == 1 else ok)
+        if len(self.nodes):  # the prescribed-node residual, on a stable P
+            rows = np.flatnonzero(ok & stable)
             q = tau[rows, None] * self.u + self.v
             ok[rows] = residual_rows(q, self.nodes, TOL.node_residual)[0]
         codes[ok & stable] = _GREEN

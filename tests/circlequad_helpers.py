@@ -1,6 +1,7 @@
 """Helpers shared by the test modules: chains, points, the per-point
-oracles of the batched code paths, and the least-squares oracle of a
-rule's weights.
+oracles of the batched code paths, the closed-form two-node tau arc, the
+least-squares oracle of a rule's weights, and the benchmark's seeded
+request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -8,7 +9,10 @@ take it.
 """
 
 import cmath
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from circlequad.errors import (
     NodesNotQuadratureError,
     PositivityViolationError,
 )
+from circlequad.measures import in_open_arc
 from circlequad.opuc import points_z
 from circlequad.poly import ONE
 from circlequad.prescribe import _f_values, _vandermonde
@@ -159,7 +164,9 @@ def elimination_pencil(deltas, n, ell, alphas):
     (V the Vandermonde rows, d = a**ell). Conjugated, each half of the
     2*ell rows gives conj(p) through an ell x ell Vandermonde solve;
     equating the two halves (a Schur complement) leaves ell equations in
-    p alone. For two nodes this is ``lobatto2``'s closed form.
+    p alone. For two nodes this is the closed form P = z - c12 - tau a12
+    with conj(c12) = (f1 - f2) / (f1 a1 - f2 a2) and
+    conj(a12) = (a1 - a2) / (f1 a1 - f2 a2).
     """
     az = np.array([a.z for a in alphas])
     f = _f_values(deltas, n, ell, alphas)
@@ -175,6 +182,31 @@ def elimination_pencil(deltas, n, ell, alphas):
     w = halves[0] - halves[1]
     ab = -np.linalg.solve(w[:, :ell], w[:, ell:])
     return ab[:, 0], ab[:, 1]
+
+
+def two_node_tau_arc(alphas, f) -> tuple:
+    """The arc of tau, (start, end) counterclockwise as unit complex
+    numbers, on which the two-node P = z - c12 - tau a12 is Schur-stable,
+    in closed form: |c12 + tau a12| = 1 exactly at tau = a1 conj(f2) and
+    tau = a2 conj(f1), and the arc between them holds the direction
+    -conj(f1 - f2) (a1 - a2) / |f1 - f2||a1 - a2|."""
+    (a1, a2), (f1, f2) = [a.z for a in alphas], f
+    x, y = a1 * np.conj(f2), a2 * np.conj(f1)
+    c = -((np.conj(f1) - np.conj(f2)) / abs(f1 - f2)) * ((a1 - a2) / abs(a1 - a2))
+    return (x, y) if in_open_arc(c, x, y) else (y, x)
+
+
+def perfbench_workloads():
+    """The benchmark's workload module, loaded from its file, so that its
+    seeded request draws serve as test data whatever the import path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:

@@ -53,6 +53,7 @@ from circlequad_helpers import (
     direct_q_rows,
     elimination_pencil,
     lstsq_weights_rows,
+    two_node_tau_arc,
     unit,
 )
 
@@ -414,16 +415,20 @@ class TestTauArcs:
         assert changes > 0
 
     def test_two_nodes_match_the_closed_form(self):
-        # ell = 1: the arc is lobatto2's, from a1 conj(f2) to a2 conj(f1)
+        # ell = 1: the arc runs from a1 conj(f2) to a2 conj(f1), and
+        # lobatto2 reports it
         rng = np.random.default_rng(31)
         for measure in (RS_HALF, ARC):
             _, deltas = chain(measure, 9, 1)
             for _ in range(20):
                 alphas = spread_nodes(rng, 2)
-                want = lobatto2(deltas, 9, *alphas, tau=1.0 + 0.0j).diagnostics["tau_arc"]
-                (start, end), = tau_arcs(tau_pencil(deltas, 9, 1, alphas)).green
-                gaps = np.subtract([start, end], [want.a.theta, want.b.theta])
+                pencil = tau_pencil(deltas, 9, 1, alphas)
+                want = np.angle(two_node_tau_arc(alphas, pencil.f))
+                (start, end), = tau_arcs(pencil).green
+                gaps = np.subtract([start, end], want)
                 assert np.max(np.abs((gaps + math.pi) % TWO_PI - math.pi)) < 1e-12
+                arc = lobatto2(deltas, 9, *alphas, tau=1.0 + 0.0j).diagnostics["tau_arc"]
+                assert (arc.a.theta, arc.b.theta) == (start, end)
 
     def test_degenerate_pencil_has_no_arc(self):
         # Lebesgue: F_3(z) = z**3, so antipodal nodes give f1 a1 = f2 a2

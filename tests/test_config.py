@@ -66,3 +66,29 @@ def test_all_exports_resolve():
     # a name left in __all__ after its object is gone breaks star imports
     missing = [name for name in circlequad.__all__ if not hasattr(circlequad, name)]
     assert missing == []
+
+
+def test_no_unused_private_names():
+    # a module-level _name (function, class or assignment) that no module
+    # reads is dead code left behind by a refactor
+    defined, read = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 20  # the walk found the private names
+    assert sorted(f"{row}: {name}" for name, row in defined.items() if name not in read) == []

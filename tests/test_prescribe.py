@@ -1,15 +1,18 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import circlequad
 from circlequad import (
     ArcSpec,
     MeasureSpec,
     QpopucSpec,
     UnitPoint,
     assemble,
+    blaschke_eval,
     build_rule,
     classical_arc,
     from_zeros,
@@ -24,17 +27,26 @@ from circlequad import (
     three_nodes,
     zeros_on_circle,
 )
+from circlequad.config import TOL
 from circlequad.errors import (
+    CircleQuadError,
     ConditionViolationError,
     InternalConsistencyError,
     InvalidParameterError,
     NoSolutionError,
 )
 from circlequad import prescribe
+from circlequad.measures import same_orientation
 from circlequad.poly import ONE
-from circlequad.qpopuc import orthogonality_params
+from circlequad.qpopuc import orthogonality_params, residual_rows
 
-from circlequad_helpers import chain, random_tau, unit
+from circlequad_helpers import (
+    chain,
+    elimination_pencil,
+    perfbench_workloads,
+    random_tau,
+    unit,
+)
 
 SQ2 = math.sqrt(2.0)
 ARC = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
@@ -66,6 +78,16 @@ class TestRadau:
         res = radau(deltas, 7, alpha)
         pts = zeros_on_circle(res.spec, deltas)
         assert min(abs(p.theta - alpha.theta) for p in pts) < 1e-10
+
+    def test_one_node_rule(self, rogers_half):
+        # n = 1: F_1(z) = z, so tau = -alpha and the rule is alpha alone
+        mu, deltas = chain(rogers_half, 1, 0)
+        alpha = unit(2.0)
+        res = radau(deltas, 1, alpha)
+        assert res.admissible and abs(res.spec.tau + alpha.z) < 1e-15
+        rule = build_rule(rogers_half, res.spec, mu=mu, deltas=deltas)
+        assert abs(rule.nodes[0].z - alpha.z) < 1e-12
+        assert abs(rule.weights[0] - mu.get(0).real) < 1e-12
 
 
 class TestRadauArcAdmissible:
@@ -163,6 +185,39 @@ class TestThreeNodes:
             assert not res.admissible and res.spec is None
             assert abs(res.diagnostics["eta"] - eta) < 1e-8 * abs(eta)
 
+    def test_orientation_theorem(self):
+        # |eta| < 1 exactly when the alpha and f triples wind the same way:
+        # seeded triples on three chains, and the ell = 1 2lp1 requests of
+        # the benchmark's seed-7 draw, outside the Schur-Cohn band
+        rng = np.random.default_rng(73)
+        cases = []
+        for measure in (MeasureSpec("rogers_szego", q=0.3), MeasureSpec("rogers_szego", q=0.8), ARC):
+            for _ in range(40):
+                n = int(rng.integers(3, 13))
+                _, deltas = chain(measure, n, 1)
+                cases.append((deltas, n, [unit(t) for t in rng.uniform(0, 2 * math.pi, 3)]))
+        work = perfbench_workloads()
+        for inp in itertools.islice(work.mix_inputs(7), work.MIX_DRAW):
+            if inp["kind"] == "2lp1" and inp["ell"] == 1:
+                try:
+                    _, deltas = chain(work.mix_measure(circlequad, inp["measure"]), inp["n"], 1)
+                except CircleQuadError:  # a Levinson breakdown, before any node
+                    continue
+                cases.append((deltas, inp["n"], [unit(t) for t in inp["nodes"]]))
+        verdicts = []
+        for deltas, n, alphas in cases:
+            try:
+                res = prescribe_2lp1(deltas, n, 1, alphas)
+            except (NoSolutionError, ConditionViolationError):
+                continue
+            if "boundary_degenerate" in res.diagnostics:
+                continue
+            f = tuple(res.diagnostics["f_values"])
+            assert res.admissible == same_orientation(tuple(a.z for a in alphas), f), alphas
+            assert res.admissible == (abs(res.diagnostics["eta"]) < 1.0)
+            verdicts.append(res.admissible)
+        assert len(verdicts) >= 200 and 0 < sum(verdicts) < len(verdicts)
+
     def test_rejects_more_nodes_than_n(self, rogers_half):
         # 2*ell + 1 = 3 nodes need n >= 3
         mu, deltas = chain(rogers_half, 2, 1)
@@ -188,14 +243,22 @@ class TestThreeNodes:
 
 
 class TestPrescribe2l:
-    def test_delegates_to_lobatto2(self, rogers_half, rng):
+    def test_two_nodes_match_the_elimination(self, rogers_half, rng):
+        # lobatto2 and prescribe_2l at ell = 1 against the Schur-complement
+        # elimination, which finds p without the coupled pencil
         mu, deltas = chain(rogers_half, 6, 1)
-        tau = random_tau(rng)
         a = [unit(0.3), unit(1.9)]
-        r1 = lobatto2(deltas, 6, a[0], a[1], tau)
-        r2 = prescribe_2l(deltas, 6, 1, a, tau)
-        assert np.allclose(r1.spec.P.coeffs, r2.spec.P.coeffs, atol=1e-10)
-        assert r1.admissible == r2.admissible
+        a_el, b_el = elimination_pencil(deltas, 6, 1, a)
+        verdicts = set()
+        for _ in range(10):
+            tau = random_tau(rng)
+            eta = -(tau * a_el[0] + b_el[0])
+            for res in (lobatto2(deltas, 6, a[0], a[1], tau), prescribe_2l(deltas, 6, 1, a, tau)):
+                assert abs(res.diagnostics["eta"] - eta) < 1e-12
+                assert res.spec.P.coeffs[1] == 1.0
+                assert res.admissible == (abs(eta) < 1.0)
+            verdicts.add(res.admissible)
+        assert verdicts == {True, False}
 
     def test_round_trip_ell2(self, rogers_half, rng):
         n, ell = 9, 2
@@ -277,6 +340,45 @@ class TestPrescribe2lp1:
             prescribe_2lp1(deltas, 9, 2, [unit(0.1), unit(0.2)])
 
 
+class TestResidualOnAdmissibleOnly:
+    """An unstable P is an inadmissible answer for every ell: its
+    prescribed-node residual is not checked. Two requests of the
+    benchmark's seed-7 draw, on exact Rogers-Szego chains, whose P has a
+    zero far outside the disk and whose residual is far above its gate,
+    which would make a check on every P report them as
+    internal-consistency faults."""
+
+    @staticmethod
+    def _check(res, deltas, nodes):
+        assert not res.admissible
+        assert max(abs(k) for k in res.diagnostics["schur_params"]) > 1.0
+        z = np.array([a.z for a in nodes])
+        ok = residual_rows(assemble(res.spec, deltas).coeffs[None], z, TOL.node_residual)[0]
+        assert not ok[0]
+
+    def test_2l(self):
+        n, ell = 21, 5
+        _, deltas = chain(MeasureSpec("rogers_szego", q=0.8695376151421141), n, ell)
+        nodes = [unit(t) for t in (
+            0.8855398557495492, 1.250180689286649, 2.782653454820211, 2.885338242441115,
+            2.9521558148113933, 3.4592731755122443, 3.6720279367890667, 3.8207751661692697,
+            3.9184018801641467, 5.763733249421079,
+        )]
+        res = prescribe_2l(deltas, n, ell, nodes, cmath.exp(0.9341246324235648j))
+        self._check(res, deltas, nodes)
+
+    def test_2lp1(self):
+        n, ell = 11, 5
+        _, deltas = chain(MeasureSpec("rogers_szego", q=0.8675112932964542), n, ell)
+        nodes = [unit(t) for t in (
+            1.789801887057653, 2.3222925046652305, 2.496751718900696, 2.664482138763552,
+            3.347919635986794, 3.7237444875971204, 3.8792539327733424, 5.290246263038328,
+            5.519104200841117, 5.933915380402946, 6.127935262785729,
+        )]
+        res = prescribe_2lp1(deltas, n, ell, nodes)
+        self._check(res, deltas, nodes)
+
+
 class TestConditionLimit:
     """Both node systems refuse an ill-conditioned matrix by one condition."""
 
@@ -320,11 +422,16 @@ class TestEmptyPrescription:
         assert calls == []
 
     def test_prescribe_2lp1_is_radau(self, rogers_half, rng):
+        # one node: P = 1 and tau = -F_n(alpha), by the Blaschke recursion
         n = 12
         _, deltas = chain(rogers_half, n, 0)
         for _ in range(5):
             alpha = unit(rng.uniform(0, 2 * math.pi))
-            assert prescribe_2lp1(deltas, n, 0, [alpha]).spec.tau == radau(deltas, n, alpha).spec.tau
+            want = -blaschke_eval(deltas, n, alpha.z)
+            for res in (prescribe_2lp1(deltas, n, 0, [alpha]), radau(deltas, n, alpha)):
+                assert res.admissible
+                assert res.spec.P.coeffs.tolist() == [1.0]
+                assert abs(res.spec.tau - want) < 1e-14
 
     def test_rejects_bad_arity(self, rogers_half):
         _, deltas = chain(rogers_half, 8, 0)
