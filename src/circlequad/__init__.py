@@ -11,10 +11,8 @@ from .opuc import (
     UnitPoints,
     blaschke_eval,
     blaschke_solve,
-    inner_product,
     schur_cohn,
     schur_from_moments,
-    szego_from_schur,
 )
 from .poly import ComplexPoly, from_zeros
 from .prescribe import (
@@ -65,8 +63,6 @@ __all__ = [
     "moment_chain",
     "modified_hat_moments",
     "schur_from_moments",
-    "szego_from_schur",
-    "inner_product",
     "blaschke_eval",
     "blaschke_solve",
     "schur_cohn",

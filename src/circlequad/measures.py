@@ -56,22 +56,6 @@ def in_open_arc(t: complex, x: complex, y: complex) -> bool:
     return 0.0 < (cmath.phase(t) - base) % TWO_PI < (cmath.phase(y) - base) % TWO_PI
 
 
-def same_orientation(triple_a, triple_b) -> bool:
-    """Do two ordered triples of circle points wind the same way?
-
-    A triple (x, y, z) is counterclockwise when y lies on the
-    counterclockwise arc from x to z.
-    """
-
-    def ccw(x, y, z):
-        base = cmath.phase(x)
-        return ((cmath.phase(y) - base) % TWO_PI) < (
-            (cmath.phase(z) - base) % TWO_PI
-        )
-
-    return ccw(*triple_a) == ccw(*triple_b)
-
-
 @dataclass(frozen=True)
 class MeasureSpec:
     """Description of a measure: which family plus its parameters."""

@@ -198,34 +198,6 @@ def _szego_step(rho: np.ndarray, d: complex) -> np.ndarray:
     return zr + d * rs
 
 
-def szego_from_schur(deltas: SchurSequence, n: int) -> list[ComplexPoly]:
-    """Monic rho_0..rho_n from the Szego recursion."""
-    rho = np.array([1.0 + 0.0j])
-    polys = [ComplexPoly(rho)]
-    for d in deltas.params(n):
-        rho = _szego_step(rho, d)
-        polys.append(ComplexPoly(rho))
-    return polys
-
-
-def inner_product(p: ComplexPoly, q: ComplexPoly, mu: MomentSequence) -> complex:
-    """<P, Q> = sum_j sum_k p_j conj(q_k) mu_{j-k}."""
-    dp, dq = p.degree, q.degree
-    if max(dp, dq) > mu.order:
-        raise MomentRangeError(
-            f"moments up to order {max(dp, dq)} needed, only {mu.order} available"
-        )
-    acc = 0.0 + 0.0j
-    for j, pj in enumerate(p.coeffs):
-        if pj == 0:
-            continue
-        for k, qk in enumerate(q.coeffs):
-            if qk == 0:
-                continue
-            acc += pj * np.conj(qk) * mu.get(j - k)
-    return acc
-
-
 def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
     """Levinson-type recursion: reflection coefficients from moments.
 

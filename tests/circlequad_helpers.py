@@ -1,7 +1,9 @@
 """Helpers shared by the test modules: chains, points, the per-point
 oracles of the batched code paths, the closed-form two-node tau arc, the
-least-squares oracle of a rule's weights, and the benchmark's seeded
-request draws as test data.
+least-squares oracle of a rule's weights, the (2*ell + 1)-node system in
+extended precision, the moment inner product, the Szego recursion in
+polynomial arithmetic, the orientation of circle triples, and the
+benchmark's seeded request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 
 from circlequad import (
-    QpopucSpec,
+    ComplexPoly,
     UnitPoint,
     assemble,
     build_rule,
@@ -33,7 +35,6 @@ from circlequad.errors import (
 )
 from circlequad.measures import in_open_arc
 from circlequad.opuc import points_z
-from circlequad.poly import ONE
 from circlequad.prescribe import _f_values, _vandermonde
 from circlequad.quadrature import (
     GREEN,
@@ -55,6 +56,38 @@ def random_tau(rng):
 
 # (moments, reflection coefficients) sized for an (n, ell) rule
 chain = moment_chain
+
+
+def inner_product(p, q, mu) -> complex:
+    """<P, Q> = sum_j sum_k p_j conj(q_k) mu_{j-k}, from the moments;
+    ``mu.get`` refuses a moment beyond its order."""
+    acc = 0.0 + 0.0j
+    for j, pj in enumerate(p.coeffs):
+        for k, qk in enumerate(q.coeffs):
+            acc += pj * np.conj(qk) * mu.get(j - k)
+    return acc
+
+
+def szego_from_schur(deltas, n: int) -> list:
+    """Monic rho_0..rho_n by rho_k = z rho_{k-1} + delta_k rho*_{k-1} in
+    ComplexPoly arithmetic: the oracle of ``SchurSequence.rho_coeffs``,
+    which runs the library's own Szego step."""
+    polys = [ComplexPoly([1.0])]
+    for k, d in enumerate(deltas.params(n), start=1):
+        polys.append(polys[-1].shift(1) + complex(d) * polys[-1].reciprocal(k - 1))
+    return polys
+
+
+def same_orientation(triple_a, triple_b) -> bool:
+    """Do two ordered triples of circle points wind the same way? A triple
+    (x, y, z) is counterclockwise when y lies on the counterclockwise arc
+    from x to z."""
+
+    def ccw(x, y, z):
+        base = cmath.phase(x)
+        return (cmath.phase(y) - base) % (2 * math.pi) < (cmath.phase(z) - base) % (2 * math.pi)
+
+    return ccw(*triple_a) == ccw(*triple_b)
 
 
 def lstsq_weights_rows(z, mu_arr, mu0: float):
@@ -138,6 +171,47 @@ def direct_coefficients(deltas, n, ell, alphas, tau):
     return np.linalg.solve(m_full, -tau * f - d)[:ell]
 
 
+def solve_extended(m, rhs) -> np.ndarray:
+    """m x = rhs for a square m and one right-hand side, by Gaussian
+    elimination with partial pivoting in np.clongdouble, which
+    np.linalg.solve does not take."""
+    a = np.array(m, dtype=np.clongdouble)
+    x = np.array(rhs, dtype=np.clongdouble)
+    k = len(x)
+    for j in range(k):
+        piv = j + int(np.argmax(np.abs(a[j:, j])))
+        a[[j, piv]], x[[j, piv]] = a[[piv, j]], x[[piv, j]]
+        ratio = a[j + 1 :, j] / a[j, j]
+        a[j + 1 :] -= ratio[:, None] * a[j]
+        x[j + 1 :] -= ratio * x[j]
+    for j in range(k - 1, -1, -1):
+        x[j] = (x[j] - a[j, j + 1 :] @ x[j + 1 :]) / a[j, j]
+    return x
+
+
+def odd_system(deltas, n, ell, alphas) -> tuple:
+    """(P, tau) of 2*ell + 1 prescribed nodes from their own square system,
+    in np.clongdouble: the oracle of ``prescribe_2lp1``.
+
+    The interpolation conditions P(a_i) + tau f_i P*(a_i) = 0 are linear in
+    the low coefficients p_0..p_{ell-1} of the monic P and in
+    q = tau * conj-reverse of (p, 1), taken as ell + 1 unknowns of their
+    own: 2*ell + 1 equations in 2*ell + 1 unknowns, with the p_ell = 1
+    column on the right-hand side. tau is q_0 over its modulus. The
+    f_i = conj(z rho / rho*) come from the plain Szego recursion in the
+    same precision. Returns P's coefficients low-to-high and tau, rounded
+    to complex.
+    """
+    z = np.array([a.z for a in alphas], dtype=np.clongdouble)
+    rho, star = np.ones_like(z), np.ones_like(z)
+    for d in deltas.params(n - ell - 1):
+        rho, star = z * rho + d * star, np.conj(d) * z * rho + star
+    f = np.conj(z * rho / star)
+    v = z[:, None] ** np.arange(ell + 1)
+    x = solve_extended(np.hstack([v[:, :ell], f[:, None] * v]), -(z**ell))
+    return np.append(x[:ell], 1).astype(complex), complex(x[ell] / abs(x[ell]))
+
+
 def direct_q_rows(p, tau, rho) -> np.ndarray:
     """Q = z P rho_k + tau P* rho*_k per row, (batch, ell + k + 2)
     low-to-high, from monic P coefficients (batch, ell + 1), one tau per
@@ -216,27 +290,21 @@ def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
     public prescription and rule chain and maps its errors to labels.
     """
     try:
-        if ell == 0:
-            res_spec = QpopucSpec(n, 0, ONE, tau)
-            admissible = True
-        else:
-            pres = prescribe_2l(deltas, n, ell, alphas, tau)
-            if "boundary_degenerate" in pres.diagnostics:
-                return RED_BOUNDARY
-            res_spec = pres.spec
-            admissible = pres.admissible
+        pres = prescribe_2l(deltas, n, ell, alphas, tau)
     except CircleQuadError:
         return RED_BOUNDARY
-    if admissible:
+    if "boundary_degenerate" in pres.diagnostics:
+        return RED_BOUNDARY
+    if pres.admissible:
         try:
-            build_rule(measure, res_spec, mu=mu, deltas=deltas)
+            build_rule(measure, pres.spec, mu=mu, deltas=deltas)
             return GREEN
         except PositivityViolationError:
             return RED_WEIGHTS
         except CircleQuadError:
             return RED_BOUNDARY
     try:
-        q = assemble(res_spec, deltas)
+        q = assemble(pres.spec, deltas)
     except CircleQuadError:
         return RED_BOUNDARY
     return _LABELS[_root_codes(q.coeffs[None])[0]]

@@ -92,3 +92,17 @@ def test_no_unused_private_names():
                 read.add(node.attr)
     assert len(defined) > 20  # the walk found the private names
     assert sorted(f"{row}: {name}" for name, row in defined.items() if name not in read) == []
+
+
+def test_one_prescription_solve():
+    # every prescription, of 2*ell or 2*ell + 1 nodes, is the one coupled
+    # pencil: a second linear solve or condition number would be a second
+    # prescription solver
+    calls = [
+        ast.unparse(node.func)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    assert calls.count("np.linalg.solve") == 1
+    assert calls.count("np.linalg.cond") == 1

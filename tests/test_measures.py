@@ -13,9 +13,10 @@ from circlequad.measures import (
     in_open_arc,
     load_moments,
     parse_measure_flag,
-    same_orientation,
     save_moments,
 )
+
+from circlequad_helpers import same_orientation
 
 
 class TestArcSpec:

@@ -14,10 +14,8 @@ from circlequad import (
     UnitPoints,
     blaschke_eval,
     blaschke_solve,
-    inner_product,
     schur_cohn,
     schur_from_moments,
-    szego_from_schur,
 )
 from circlequad import opuc
 from circlequad.errors import (
@@ -32,7 +30,7 @@ from circlequad.measures import MeasureSpec, moments
 from circlequad.config import TOL
 from circlequad.opuc import TWO_PI, wrap_theta
 
-from circlequad_helpers import chain, direct_christoffel
+from circlequad_helpers import chain, direct_christoffel, inner_product, szego_from_schur
 
 
 def cmv_eigenvalues(alpha):

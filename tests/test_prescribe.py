@@ -8,6 +8,7 @@ import pytest
 import circlequad
 from circlequad import (
     ArcSpec,
+    ComplexPoly,
     MeasureSpec,
     QpopucSpec,
     UnitPoint,
@@ -22,6 +23,7 @@ from circlequad import (
     prescribe_2lp1,
     radau,
     radau_arc_admissible,
+    schur_cohn,
     tau_for_omega,
     tau_pencil,
     three_nodes,
@@ -31,20 +33,20 @@ from circlequad.config import TOL
 from circlequad.errors import (
     CircleQuadError,
     ConditionViolationError,
-    InternalConsistencyError,
     InvalidParameterError,
     NoSolutionError,
 )
 from circlequad import prescribe
-from circlequad.measures import same_orientation
 from circlequad.poly import ONE
 from circlequad.qpopuc import orthogonality_params, residual_rows
 
 from circlequad_helpers import (
     chain,
     elimination_pencil,
+    odd_system,
     perfbench_workloads,
     random_tau,
+    same_orientation,
     unit,
 )
 
@@ -218,6 +220,48 @@ class TestThreeNodes:
             verdicts.append(res.admissible)
         assert len(verdicts) >= 200 and 0 < sum(verdicts) < len(verdicts)
 
+    @pytest.mark.parametrize(
+        "n, thetas, pair, p0, tau",
+        [
+            (4, [0.3, 0.3 + math.pi, 1.9], [0, 1],
+             0.055790738238916227 + 0.017258097729778155j, -0.3623577544766743 - 0.9320390859672261j),
+            (4, [1.9, 0.3, 0.3 + math.pi], [1, 2],
+             0.055790738238916227 + 0.017258097729778155j, -0.3623577544766743 - 0.9320390859672261j),
+            (6, [0.4, 0.4 + math.pi / 2, 3.0], [0, 1],
+             0.16730586570846928 - 0.8309531511990046j, -0.675463180551151 - 0.7373937155412454j),
+        ],
+        ids=["n4-pair-first", "n4-pair-last", "n6"],
+    )
+    def test_degenerate_pair(self, lebesgue, n, thetas, pair, p0, tau):
+        # one pair with f_i a_i = f_j a_j admits a single tau, so the pencil
+        # is built on another pair; P and tau as the (2*ell + 1)-node system
+        # gave them before the two solves were merged
+        _, deltas = chain(lebesgue, n, 1)
+        alphas = [unit(t) for t in thetas]
+        assert tau_pencil(deltas, n, 1, [alphas[i] for i in pair]).degenerate
+        res = prescribe_2lp1(deltas, n, 1, alphas)
+        assert res.admissible
+        assert abs(res.spec.P.coeffs[0] - p0) < 1e-12
+        assert abs(res.spec.tau - tau) < 1e-12
+
+    def test_every_pair_degenerate(self, lebesgue):
+        # Lebesgue, n = 5, the cube roots of unity turned by 0.2: f_i a_i is
+        # the same at all three nodes, so each pair admits only its own tau,
+        # and no two of those agree
+        _, deltas = chain(lebesgue, 5, 1)
+        alphas = [unit(0.2 + 2 * math.pi * k / 3) for k in range(3)]
+        with pytest.raises(NoSolutionError):
+            prescribe_2lp1(deltas, 5, 1, alphas)
+
+    def test_shared_blaschke_value(self, lebesgue):
+        # Lebesgue, n = 4: f = conj(a**3) is the same at 0 and 2 pi / 3, so
+        # P/P* cannot be a disk automorphism; the one P left, z - beta with
+        # beta the third node, has its zero on the circle
+        _, deltas = chain(lebesgue, 4, 1)
+        res = prescribe_2lp1(deltas, 4, 1, [unit(0.0), unit(2 * math.pi / 3), unit(1.0)])
+        assert not res.admissible and "boundary_degenerate" in res.diagnostics
+        assert abs(res.diagnostics["eta"] - cmath.exp(1j)) < 1e-12
+
     def test_rejects_more_nodes_than_n(self, rogers_half):
         # 2*ell + 1 = 3 nodes need n >= 3
         mu, deltas = chain(rogers_half, 2, 1)
@@ -322,6 +366,39 @@ class TestPrescribe2lp1:
             admissible += res.admissible
         assert admissible <= 5
 
+    def test_matches_the_odd_system(self):
+        # against the (2*ell + 1)-node square system solved in extended
+        # precision: seeded triples and septuples on three chains, and the
+        # 2lp1 requests of the benchmark's seed-7 draw. The verdicts agree,
+        # and so do an admissible P and tau, within 1e-12
+        rng = np.random.default_rng(29)
+        cases = []
+        for measure in (MeasureSpec("rogers_szego", q=0.3), MeasureSpec("rogers_szego", q=0.8), ARC):
+            for ell in (1, 3):
+                for _ in range(15):
+                    n = int(rng.integers(2 * ell + 1, 13))
+                    _, deltas = chain(measure, n, ell)
+                    nodes = rng.uniform(0, 2 * math.pi, 2 * ell + 1)
+                    cases.append((deltas, n, ell, [unit(t) for t in nodes]))
+        work = perfbench_workloads()
+        for inp in itertools.islice(work.mix_inputs(7), work.MIX_DRAW):
+            if inp["kind"] == "2lp1":
+                try:
+                    _, deltas = chain(work.mix_measure(circlequad, inp["measure"]), inp["n"], inp["ell"])
+                except CircleQuadError:  # a Levinson breakdown, before any node
+                    continue
+                cases.append((deltas, inp["n"], inp["ell"], [unit(t) for t in inp["nodes"]]))
+        verdicts = []
+        for deltas, n, ell, alphas in cases:
+            res = prescribe_2lp1(deltas, n, ell, alphas)
+            p, tau = odd_system(deltas, n, ell, alphas)
+            assert res.admissible == schur_cohn(ComplexPoly(p)).stable
+            if res.admissible:
+                assert np.max(np.abs(res.spec.P.coeffs - p)) < 1e-12
+                assert abs(res.spec.tau - tau) < 1e-12
+            verdicts.append(res.admissible)
+        assert len(verdicts) >= 600 and 80 < sum(verdicts) < len(verdicts)
+
     @pytest.mark.parametrize("ell", [1, 2])
     def test_symmetric_nodes_closed_form(self, lebesgue, ell):
         # Lebesgue, n = 2*ell + 1 equally spaced nodes e^{i(0.1 + 2 pi k/n)}:
@@ -380,13 +457,13 @@ class TestResidualOnAdmissibleOnly:
 
 
 class TestConditionLimit:
-    """Both node systems refuse an ill-conditioned matrix by one condition."""
+    """Both node counts refuse an ill-conditioned pencil by one condition."""
 
     # three nodes within 2e-6 rad of each other
     NODES = [0.3, 0.3 + 1e-6, 0.3 + 2e-6, 3.5, 5.0]
 
     def test_odd_solve(self, rogers_half):
-        # the 5 x 5 system of 2*ell + 1 nodes: condition number 1.9e12
+        # 2*ell + 1 nodes: the pencil of the first four, condition 2.9e12
         _, deltas = chain(rogers_half, 9, 2)
         with pytest.raises(ConditionViolationError):
             prescribe_2lp1(deltas, 9, 2, [unit(t) for t in self.NODES])
@@ -526,24 +603,31 @@ class TestTauForOmega:
                 assert any(abs(s - tau0) < 1e-7 for s in sols)
 
     def test_every_tau_passes_the_coupling_check(self):
-        # a prescribe-mix request (seed 7, request 756) whose quadratic has a
-        # root on the circle at which the coupled solve is invalid
+        # a prescribe-mix request (seed 7, request 756) whose pencil has
+        # condition number 6.2e6: one root of its quadratic misses the fixed
+        # TOL.coupling gate, but the solve's error grows with cond, and that
+        # root realises omega, with an inadmissible P
         measure = MeasureSpec("rogers_szego", q=0.8131229205294341)
         n, ell = 9, 4
         alphas = [unit(t) for t in [
             0.3847711801215336, 1.7415831939574744, 1.9219838327343757, 3.5940419856623236,
             4.0581432442250005, 4.121597818655432, 4.276273279303981, 4.816670220374784,
         ]]
+        omega = cmath.exp(0.45142665261666515j)
         _, deltas = chain(measure, n, ell)
-        sols, degenerate = tau_for_omega(deltas, n, ell, alphas, cmath.exp(0.45142665261666515j))
-        assert not degenerate and sols
+        sols, degenerate = tau_for_omega(deltas, n, ell, alphas, omega)
+        assert not degenerate and len(sols) == 2
         pencil = tau_pencil(deltas, n, ell, alphas)
         assert all(pencil.rows([tau])[1][0] for tau in sols)
-        # the root left out: prescribe_2l refuses it on the coupling check
-        dropped = 0.6932574933061628 + 0.7206899804873492j
-        assert all(abs(tau - dropped) > 1e-6 for tau in sols)
-        with pytest.raises(InternalConsistencyError, match="coupling"):
-            prescribe_2l(deltas, n, ell, alphas, dropped)
+        once_dropped = 0.6932574933061628 + 0.7206899804873492j
+        tau = min(sols, key=lambda t: abs(t - once_dropped))
+        assert abs(tau - once_dropped) < 1e-9
+        p = tau * pencil.a + pencil.b
+        defect = np.max(np.abs(pencil.a_conj + np.conj(tau) * pencil.b_conj - np.conj(p)))
+        assert defect > TOL.coupling * (1.0 + np.max(np.abs(p)))
+        res = prescribe_2l(deltas, n, ell, alphas, tau)
+        assert not res.admissible
+        assert abs(orthogonality_params(res.spec, deltas).omega - omega) < 1e-12
 
     def test_omega_validated(self, lebesgue):
         mu, deltas = chain(lebesgue, 4, 0)

@@ -12,7 +12,6 @@ from circlequad import (
     assemble,
     blaschke_solve,
     from_zeros,
-    inner_product,
     invariance_parameter,
     modified_schur,
     orthogonality_params,
@@ -27,7 +26,7 @@ from circlequad.opuc import TWO_PI, wrap_theta
 from circlequad.poly import ONE
 from circlequad.qpopuc import modified_params
 
-from circlequad_helpers import chain, random_tau
+from circlequad_helpers import chain, inner_product, random_tau
 
 
 class TestSpecValidation:
