@@ -50,8 +50,6 @@ class Tolerances:
     blaschke_distinct: float = 1e-12
     # order-collapse detection: |sigma| <= tol * (1 + |delta|)
     sigma_collapse: float = 1e-12
-    # minimum weight accepted as positive
-    weight_positive: float = 1e-12
 
 
 TOL = Tolerances()

@@ -63,9 +63,8 @@ class PrescriptionResult:
     nodal_poly: ComplexPoly | None = None
 
 
-def _f_values(deltas: SchurSequence, n: int, ell: int, alphas) -> np.ndarray:
-    z = np.array([a.z for a in alphas], dtype=complex)
-    return np.conj(blaschke_values(deltas.params(n - ell - 1), z))
+def _f_values(deltas: SchurSequence, n: int, ell: int, az: np.ndarray) -> np.ndarray:
+    return np.conj(blaschke_values(deltas.params(n - ell - 1), az))
 
 
 def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas) -> float:
@@ -303,7 +302,7 @@ def tau_pencil(deltas: SchurSequence, n: int, ell: int, alphas) -> TauPencil:
     or coinciding nodes; every other refusal is left to the caller.
     """
     az = _prescribed_nodes(alphas, n, ell, 2 * ell)
-    return _factor(az, _f_values(deltas, n, ell, alphas))
+    return _factor(az, _f_values(deltas, n, ell, az))
 
 
 def _factor(az: np.ndarray, f: np.ndarray) -> TauPencil:
@@ -447,7 +446,7 @@ def prescribe_2lp1(
     ell = 0 and ell = 1.
     """
     az = _prescribed_nodes(alphas, n, ell, 2 * ell + 1)
-    f = _f_values(deltas, n, ell, alphas)
+    f = _f_values(deltas, n, ell, az)
     beta = 2 * ell
     if ell == 1:
         fa = f * az

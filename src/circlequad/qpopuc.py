@@ -63,7 +63,6 @@ class OrthogonalityParams:
 
     sigma: complex
     collapsed: bool
-    nu: complex | None = None
     tau_tilde: complex | None = None
     omega: complex | None = None
     q_poly: ComplexPoly | None = None
@@ -84,15 +83,6 @@ def _spot_points() -> np.ndarray:
     z = np.exp(1j * np.random.default_rng(1729).uniform(0.0, 2.0 * np.pi, size=32))
     z.flags.writeable = False
     return z
-
-
-def modified_params(deltas: SchurSequence, n: int, kappas, tau) -> np.ndarray:
-    """delta_1..delta_{n-ell-1} followed by tau * conj(kappa_j), j = ell..1,
-    per row: kappas (batch, ell) from ``schur_cohn_rows``, tau (batch,)."""
-    kappas = np.asarray(kappas, dtype=complex)
-    base = deltas.params(n - kappas.shape[1] - 1)
-    synthetic = np.asarray(tau)[:, None] * np.conj(kappas)
-    return np.concatenate([np.broadcast_to(base, (len(kappas), len(base))), synthetic], axis=1)
 
 
 def assemble(spec: QpopucSpec, deltas: SchurSequence) -> ComplexPoly:
@@ -124,7 +114,7 @@ def invariance_parameter(q: ComplexPoly) -> complex:
 def orthogonality_params(
     spec: QpopucSpec, deltas: SchurSequence
 ) -> OrthogonalityParams:
-    """sigma, nu, tau_tilde, omega, and the monic companion q_ell.
+    """sigma, tau_tilde, omega, and the monic companion q_ell.
 
     tau_tilde = tau * sigma / conj(sigma) makes Q orthogonal to
     z**(n-ell) - tau_tilde z**ell; omega = tau * tau_tilde extends the
@@ -135,7 +125,6 @@ def orthogonality_params(
     sigma = np.conj(p0) - np.conj(spec.tau) * delta
     if abs(sigma) <= TOL.sigma_collapse * (1.0 + abs(delta)):
         return OrthogonalityParams(sigma=complex(sigma), collapsed=True)
-    nu = (1.0 - abs(delta) ** 2) / np.conj(sigma)
     tau_tilde = spec.tau * sigma / np.conj(sigma)
     omega = spec.tau * tau_tilde
     p_star = spec.P.reciprocal(spec.ell)
@@ -143,7 +132,6 @@ def orthogonality_params(
     return OrthogonalityParams(
         sigma=complex(sigma),
         collapsed=False,
-        nu=complex(nu),
         tau_tilde=complex(tau_tilde),
         omega=complex(omega),
         q_poly=q_poly,
@@ -171,7 +159,7 @@ def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> 
             f"(worst Schur-Cohn parameter {sc.worst:.6f}); no equivalent "
             "reflection-coefficient chain exists"
         )
-    combined = modified_params(deltas, spec.n, [sc.params], [spec.tau])[0]
+    combined = np.append(deltas.params(spec.n - spec.ell - 1), spec.tau * np.conj(sc.params))
     modified = SchurSequence.from_params(combined, e0=float(deltas.norms[0]))
     z = _spot_points()
     rho, rho_star = szego_eval(combined, z)

@@ -146,23 +146,21 @@ def _power_table(z, order: int) -> np.ndarray:
     return table
 
 
-def weight_checks(lam, mu0: float):
-    """Per row of weights: (positive, sum_ok). Every weight must exceed
-    TOL.weight_positive, and the weights must sum to mu_0 within
-    TOL.weight_sum * mu_0."""
-    positive = np.min(lam, axis=1) > TOL.weight_positive
-    sum_ok = np.abs(np.sum(lam, axis=1) - mu0) <= TOL.weight_sum * mu0
-    return positive, sum_ok
-
-
 def weights(nodes: UnitPoints, mu: MomentSequence, m: int) -> np.ndarray:
-    """The weights step of ``build_rule``: the Christoffel numbers that
-    ``blaschke_solve`` left on ``nodes``, accepted only when they match
-    every moment mu_k, |k| <= m, within TOL.weight_residual * mu_0. They
-    make the modified chain's Szego rule, exact for mu on |k| <= m when
-    the chain starts with mu's first m reflection coefficients; a larger
-    residual means the nodes are not those of a quasi-paraorthogonal
-    polynomial for this measure.
+    """The weights step of ``build_rule``, and the one gate on a rule's
+    weights: the Christoffel numbers that ``blaschke_solve`` left on
+    ``nodes``, accepted when they match every moment mu_k, |k| <= m,
+    within TOL.weight_residual * mu_0, are finite and > 0, and sum to
+    mu_0 within TOL.weight_sum * mu_0, checked in that order.
+
+    They make the modified chain's Szego rule, exact for mu on |k| <= m
+    when the chain starts with mu's first m reflection coefficients; a
+    larger residual means the nodes are not those of a
+    quasi-paraorthogonal polynomial for this measure. Each weight is
+    mu_0 exp(sum log(1 - |delta|**2) - sum log|y|**2) / psi', with
+    psi' >= 1 and |y| = |1 + conj(delta) F| >= 1 - |delta| > 0 on the
+    circle, so a computed weight can fail positivity only by underflowing
+    to 0 or by not being finite; there is no floor above 0.
     """
     if mu.order < m:
         raise InvalidParameterError(f"need moments to order {m}, have {mu.order}")
@@ -176,6 +174,13 @@ def weights(nodes: UnitPoints, mu: MomentSequence, m: int) -> np.ndarray:
             f"{TOL.weight_residual * mu0:.1e}; the nodes are not the zeros of a "
             "quasi-paraorthogonal polynomial for this measure"
         )
+    if not (np.all(lam > 0.0) and np.all(np.isfinite(lam))):
+        raise PositivityViolationError(
+            f"minimum weight {np.min(lam):.3e} is not positive and finite",
+            diagnostics={"weights": lam.tolist(), "nodes_theta": nodes.theta.tolist()},
+        )
+    if not abs(np.sum(lam) - mu0) <= TOL.weight_sum * mu0:
+        raise NodesNotQuadratureError(f"weights sum to {np.sum(lam)}, expected mu_0 = {mu0}")
     return lam
 
 
@@ -187,38 +192,27 @@ def build_rule(
 ) -> QuadRule:
     """Full positive rule for an admissible spec.
 
-    Nodes and weights come from one node solve (``zeros_on_circle``);
-    ``weights`` and ``weight_checks`` gate the weights. The moments and
-    reflection coefficients of ``moment_chain`` may be passed, together,
-    to avoid recomputing them for every rule.
+    Nodes and weights come from one node solve (``zeros_on_circle``), and
+    ``weights`` gates the weights; a positivity refusal gains the spec's
+    tau in its diagnostics. The moments and reflection coefficients of
+    ``moment_chain`` may be passed, together, to avoid recomputing them
+    for every rule.
     """
     m = spec.n - spec.ell - 1
     if mu is None or deltas is None:
         mu, deltas = moment_chain(measure, spec.n, spec.ell)
     nodes = zeros_on_circle(spec, deltas)
-    lam = weights(nodes, mu, m)
+    try:
+        lam = weights(nodes, mu, m)
+    except PositivityViolationError as exc:
+        exc.diagnostics["tau"] = spec.tau
+        raise
     params = orthogonality_params(spec, deltas)
-    omega = None if params.collapsed else params.omega
-    mu0 = float(mu.get(0).real)
-    positive, sum_ok = weight_checks(lam[None], mu0)
-    if not positive[0]:
-        raise PositivityViolationError(
-            f"minimum weight {np.min(lam):.3e} is not positive",
-            diagnostics={
-                "weights": lam.tolist(),
-                "nodes_theta": [p.theta for p in nodes],
-                "tau": spec.tau,
-            },
-        )
-    if not sum_ok[0]:
-        raise NodesNotQuadratureError(
-            f"weights sum to {np.sum(lam)}, expected mu_0 = {mu0}"
-        )
     return QuadRule(
         nodes=nodes,
         weights=lam,
         m=m,
-        omega=omega,
+        omega=None if params.collapsed else params.omega,
         measure=measure,
         n=spec.n,
         ell=spec.ell,
@@ -378,8 +372,9 @@ def scan_tau(
     (``TauScan.certificates``). The grid is labelled at once by
     ``_Scan.codes``. An arc whose certificate fails is dropped, and its
     green points take the label the per-point chain gives the failure:
-    simple-nodes-nonpositive-weights for a positivity violation,
-    boundary-degenerate for any other refusal or a failed
+    simple-nodes-nonpositive-weights for a positivity violation (a weight
+    of ``weights`` that underflowed to 0 or is not finite; there is no
+    floor above 0), boundary-degenerate for any other refusal or a failed
     ``verify_exactness``.
 
     Malformed input raises ``InvalidParameterError``: a node count other

@@ -164,7 +164,7 @@ def direct_christoffel(params, mu0: float, z) -> np.ndarray:
 def direct_coefficients(deltas, n, ell, alphas, tau):
     """P's low coefficients from the coupled system in (p, conj(p)) at tau."""
     az = np.array([a.z for a in alphas])
-    f = _f_values(deltas, n, ell, alphas)
+    f = _f_values(deltas, n, ell, az)
     v = _vandermonde(az, ell)
     d = az**ell
     m_full = np.hstack([v, tau * (f * d)[:, None] * np.conj(v)])
@@ -243,7 +243,7 @@ def elimination_pencil(deltas, n, ell, alphas):
     conj(a12) = (a1 - a2) / (f1 a1 - f2 a2).
     """
     az = np.array([a.z for a in alphas])
-    f = _f_values(deltas, n, ell, alphas)
+    f = _f_values(deltas, n, ell, az)
     v = _vandermonde(az, ell)
     d = az**ell
     halves = [

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from circlequad import (
-    TOL,
     ComplexPoly,
     MeasureSpec,
     QpopucSpec,
@@ -19,7 +18,6 @@ from circlequad import (
     build_rule,
     from_zeros,
     lobatto2,
-    prescribe_2l,
     scan_tau,
     tau_pencil,
     zeros_on_circle,
@@ -43,7 +41,6 @@ from circlequad.quadrature import (
     _on_arc,
     _Scan,
     scan_grid,
-    weight_checks,
 )
 
 from circlequad_helpers import (
@@ -526,7 +523,7 @@ class TestScanCertificates:
 
 
 # label sweep configurations: (measure, n, ell), seeded nodes; the last
-# is an arc whose l = 0 Szego rules have weights below the 1e-12 floor
+# is an arc whose ell = 0 Szego rules have weights down to 4.7e-14
 SWEEP = [
     (MeasureSpec("rogers_szego", q=0.3), 9, 0),
     (MeasureSpec("rogers_szego", q=0.85), 14, 1),
@@ -543,32 +540,13 @@ SWEEP = [
 
 
 def test_label_sweep_against_the_per_point_chain():
-    # every label that differs from the per-point chain is listed with its
-    # cause, and the only cause is the absolute floor TOL.weight_positive:
-    # the theorem makes the weights positive, and least squares finds
-    # them positive too, but below 1e-12
+    # no label differs from the per-point chain, the small weights of the
+    # last configuration included
     rng = np.random.default_rng(11)
-    floor = []
-    for i, (measure, n, ell) in enumerate(SWEEP):
+    for measure, n, ell in SWEEP:
         alphas = spread_nodes(rng, 2 * ell)
         scan = scan_tau(measure, n, ell, alphas, grid_size=48)
-        want = oracle_labels(measure, n, ell, alphas, scan.thetas)
-        mu, deltas = chain(measure, n, ell)
-        for k in np.flatnonzero(np.array(list(scan.labels)) != np.array(want)):
-            assert (scan.labels[k], want[k]) == (GREEN, RED_WEIGHTS)
-            tau = complex(np.exp(1j * scan.thetas[k]))
-            if ell:
-                spec = prescribe_2l(deltas, n, ell, alphas, tau).spec
-            else:
-                spec = QpopucSpec(n, 0, ComplexPoly([1.0]), tau)
-            with pytest.raises(PositivityViolationError) as refusal:
-                build_rule(measure, spec, mu=mu, deltas=deltas)
-            smallest = min(refusal.value.diagnostics["weights"])
-            assert 0.0 < smallest <= TOL.weight_positive
-            floor.append((i, k))
-    # the floor case: points 7-22 of the last configuration, where the
-    # smallest weight runs from 8.0e-13 down to 4.7e-14 and back
-    assert floor == [(len(SWEEP) - 1, k) for k in range(7, 23)]
+        assert list(scan.labels) == oracle_labels(measure, n, ell, alphas, scan.thetas)
 
 
 class TestBandHit:
@@ -597,6 +575,10 @@ class TestBandHit:
 
 # ``companion_codes`` of simple circle nodes whose weights it cannot sign
 _UNSOLVED = -1
+# the smallest least-squares weight ``companion_codes`` counts as
+# positive: the oracle keeps the 1e-12 floor its codes were checked
+# with, whatever the library's own positivity gate
+_ORACLE_FLOOR = 1e-12
 
 
 def companion_codes(q, mu_arr, mu0):
@@ -618,7 +600,7 @@ def companion_codes(q, mu_arr, mu0):
     gaps = np.abs(roots[:, :, None] - roots[:, None, :]) + np.eye(d)
     simple = np.min(gaps, axis=(1, 2)) >= 1e-8
     lam, resid_ok, resid = lstsq_weights_rows(roots / mod, mu_arr, mu0)
-    positive, _ = weight_checks(lam, mu0)
+    positive = np.min(lam, axis=1) > _ORACLE_FLOOR
     signed = resid_ok & (np.abs(np.min(lam, axis=1)) > resid)
     return np.select(
         [~on_circle, ~simple, ~signed, ~positive], [_SCHUR, _BOUNDARY, _UNSOLVED, _WEIGHTS], _GREEN

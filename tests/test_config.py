@@ -106,3 +106,24 @@ def test_one_prescription_solve():
     ]
     assert calls.count("np.linalg.solve") == 1
     assert calls.count("np.linalg.cond") == 1
+
+
+def test_one_weights_gate():
+    # a rule's weights are gated in one place, ``quadrature.weights``: no
+    # other code refuses a weight as nonpositive or reads the sum gate
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {
+            id(node)
+            for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and f"{path.stem}.{fn.name}" == "quadrature.weights"
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "PositivityViolationError":
+                found.append(("PositivityViolationError", id(node) in inside))
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "TOL.weight_sum":
+                found.append(("TOL.weight_sum", id(node) in inside))
+    assert {name for name, _ in found} == {"PositivityViolationError", "TOL.weight_sum"}
+    assert [name for name, inside_gate in found if not inside_gate] == []

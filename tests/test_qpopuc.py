@@ -24,7 +24,6 @@ from circlequad.errors import (
 )
 from circlequad.opuc import TWO_PI, wrap_theta
 from circlequad.poly import ONE
-from circlequad.qpopuc import modified_params
 
 from circlequad_helpers import chain, inner_product, random_tau
 
@@ -179,10 +178,10 @@ class TestZerosOnCircle:
             mu, deltas = chain(spec, n, ell)
             for _ in range(10):
                 tau = random_tau(rng)
-                kappas = rng.uniform(0.999, 0.99999, size=(1, ell)) * np.exp(
-                    1j * rng.uniform(0.0, TWO_PI, size=(1, ell))
+                kappas = rng.uniform(0.999, 0.99999, size=ell) * np.exp(
+                    1j * rng.uniform(0.0, TWO_PI, size=ell)
                 )
-                params = modified_params(deltas, n, kappas, [tau])[0]
+                params = np.append(deltas.params(n - ell - 1), tau * np.conj(kappas))
                 thetas = blaschke_solve(SchurSequence.from_params(params), n, -tau).theta
                 # a close pair of companion roots of Q in double precision is
                 # off by up to ~3e-12: Q is built from the parameters, and its

@@ -9,6 +9,7 @@ from circlequad import (
     MeasureSpec,
     MomentSequence,
     QpopucSpec,
+    SchurSequence,
     assemble,
     build_rule,
     from_zeros,
@@ -21,7 +22,9 @@ from circlequad import (
     scan_tau,
     tau_for_omega,
     verify_exactness,
+    zeros_on_circle,
 )
+from circlequad import quadrature
 from circlequad.errors import (
     CircleQuadError,
     InvalidParameterError,
@@ -38,8 +41,9 @@ from circlequad.quadrature import (
     rule_to_dict,
     save_rule,
     save_rule_csv,
+    weights,
 )
-from circlequad.opuc import TWO_PI, wrap_theta
+from circlequad.opuc import TWO_PI, UnitPoints, wrap_theta
 
 from circlequad_helpers import chain, direct_christoffel, lstsq_weights, random_tau, unit
 
@@ -217,6 +221,58 @@ class TestBuildRule:
             assert abs(np.sum(rule.weights) - 1.0) < 1e-10
             built += 1
         assert built > 0
+
+
+def _closed_form_rule(q: float, n: int):
+    """The free-tau rule (ell = 0) on the closed-form Rogers-Szego chain
+    delta_k = (-1)**k q**(k/2), and the measure's moments q**(k**2/2)."""
+    measure = MeasureSpec("rogers_szego", q=q)
+    k = np.arange(1, n + 1)
+    deltas = SchurSequence.from_params((-1.0) ** k * q ** (k / 2.0))
+    mu = moments(measure, n)
+    return build_rule(measure, QpopucSpec(n, 0, ONE, cmath.exp(0.9j)), mu=mu, deltas=deltas), mu
+
+
+class TestPositivityGate:
+    """``weights`` takes every finite weight > 0: each is a product of
+    positive factors, so it can fail only by underflowing to 0."""
+
+    @pytest.mark.parametrize("n", [32, 64, 256, 512])
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.99])
+    def test_closed_form_rogers_szego(self, q, n):
+        # the smallest weights run from 9.1e-15 (q = 0.9, n = 32) down to
+        # 5.0e-190 (q = 0.99, n = 512), and the moments hold the rule
+        rule, mu = _closed_form_rule(q, n)
+        assert 0.0 < np.min(rule.weights) <= 1e-14
+        assert verify_exactness(rule, mu)["passes"]
+
+    def test_underflowed_weight_is_refused(self, monkeypatch):
+        # the smallest weight, 2.5e-30, set to 0 still matches the moments,
+        # so the refusal is the positivity check's
+        rule, mu = _closed_form_rule(0.95, 64)
+
+        def underflowed(nodes):
+            lam = nodes.weights.copy()
+            lam[np.argmin(lam)] = 0.0
+            return UnitPoints(nodes.theta, lam)
+
+        with pytest.raises(PositivityViolationError) as refusal:
+            weights(underflowed(rule.nodes), mu, rule.m)
+        assert set(refusal.value.diagnostics) == {"weights", "nodes_theta"}
+        # the moment residual is checked first: against another measure's
+        # moments the same weights are refused as not a quadrature
+        other = moments(MeasureSpec("rogers_szego", q=0.9), 64)
+        with pytest.raises(NodesNotQuadratureError):
+            weights(underflowed(rule.nodes), other, rule.m)
+        # build_rule adds tau, so the CLI's payload keeps its three keys
+        def solve(spec, deltas):
+            return underflowed(zeros_on_circle(spec, deltas))
+
+        monkeypatch.setattr(quadrature, "zeros_on_circle", solve)
+        with pytest.raises(PositivityViolationError) as refusal:
+            _closed_form_rule(0.95, 64)
+        assert refusal.value.diagnostics["tau"] == rule.tau
+        assert set(refusal.value.diagnostics) == {"weights", "nodes_theta", "tau"}
 
 
 class TestEigenNodes:
