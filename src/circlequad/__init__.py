@@ -3,7 +3,7 @@
 from ._kernels import using_numba
 from .config import TOL, Tolerances
 from .errors import CircleQuadError
-from .measures import ArcSpec, MeasureSpec, modified_hat_moments, moment_chain, moments
+from .measures import ArcSpec, MeasureSpec, moment_chain, moments
 from .opuc import (
     MomentSequence,
     SchurSequence,
@@ -61,7 +61,6 @@ __all__ = [
     "MeasureSpec",
     "moments",
     "moment_chain",
-    "modified_hat_moments",
     "schur_from_moments",
     "blaschke_eval",
     "blaschke_solve",

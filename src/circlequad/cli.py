@@ -75,7 +75,7 @@ def _emit(payload: dict, out_path=None):
         print(text)
 
 
-def _prescription(args, mu, deltas):
+def _prescription(args, deltas):
     """Shared node-count dispatch; returns (spec, diagnostics). For every
     ell >= 0, 2*ell nodes take --tau (``prescribe_2l``) and 2*ell + 1
     nodes determine it (``prescribe_2lp1``)."""
@@ -131,7 +131,7 @@ def _jsonable(v):
 def cmd_rule(args) -> int:
     measure = parse_measure_flag(args.measure)
     mu, deltas = moment_chain(measure, args.n, args.ell)
-    spec, diag = _prescription(args, mu, deltas)
+    spec, diag = _prescription(args, deltas)
     rule = build_rule(measure, spec, mu=mu, deltas=deltas)
     report = verify_exactness(rule, mu)
     payload = rule_to_dict(rule, residuals=report)
@@ -150,8 +150,8 @@ def cmd_rule(args) -> int:
 
 def cmd_zeros(args) -> int:
     measure = parse_measure_flag(args.measure)
-    mu, deltas = moment_chain(measure, args.n, args.ell)
-    spec, diag = _prescription(args, mu, deltas)
+    _, deltas = moment_chain(measure, args.n, args.ell)
+    spec, diag = _prescription(args, deltas)
     pts = zeros_on_circle(spec, deltas)
     payload = {
         "n": spec.n,

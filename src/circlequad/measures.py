@@ -2,10 +2,7 @@
 
 Variants: normalized Lebesgue, Rogers-Szego with parameter q in (0,1)
 (mu_k = q**(k**2/2)), Lebesgue restricted to an arc (normalized to
-mu_0 = 1), and externally supplied moment tables. Also the
-endpoint-modified measure obtained by multiplying d(mu) by
-sqrt(conj(ab)) (z - a)(z - b) conj(z), which vanishes at the two arc
-endpoints a and b.
+mu_0 = 1), and externally supplied moment tables.
 """
 
 from __future__ import annotations
@@ -16,11 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FileFormatError,
-    InvalidParameterError,
-    NotPositiveDefiniteError,
-)
+from .errors import FileFormatError, InvalidParameterError
 from .opuc import TWO_PI, MomentSequence, SchurSequence, UnitPoint, schur_from_moments
 
 
@@ -132,35 +125,6 @@ def moment_chain(spec: MeasureSpec, n: int, ell: int) -> tuple[MomentSequence, S
     N = max(2m + 2, n - ell) and m = n - ell - 1."""
     mu = moments(spec, max(2 * (n - ell - 1) + 2, n - ell))
     return mu, schur_from_moments(mu, n - ell)
-
-
-def modified_hat_moments(
-    mu: MomentSequence, a: UnitPoint, b: UnitPoint, order: int
-) -> MomentSequence:
-    """Moments of the endpoint-vanishing modified measure.
-
-    mu_hat_k = s [mu_{k+1} - (a + b) mu_k + a b mu_{k-1}], where s is
-    the square root of conj(a b) whose branch makes mu_hat_0 real and
-    positive.
-    """
-    if mu.order < order + 1:
-        raise InvalidParameterError(
-            f"need base moments to order {order + 1}, have {mu.order}"
-        )
-    az, bz = a.z, b.z
-    base = mu.array(-1, order + 1)
-    raw = base[2:] - (az + bz) * base[1:-1] + az * bz * base[:-2]
-    s = cmath.sqrt(np.conj(az * bz))
-    for branch in (s, -s):
-        h0 = branch * raw[0]
-        # the wrong branch gives a negative mu_hat_0; the right one is real
-        # up to the cancellation in the three-term combination
-        if h0.real > 0 and abs(h0.imag) <= 1e-10 * abs(h0.real):
-            return MomentSequence(branch * raw)
-    raise NotPositiveDefiniteError(
-        "no square-root branch makes the modified moment mu_hat_0 real positive; "
-        "the endpoints do not match the support of the measure"
-    )
 
 
 def load_moments(path, max_order: int | None = None) -> MomentSequence:

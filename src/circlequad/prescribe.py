@@ -11,9 +11,10 @@ reads it at the tau the remaining node fixes. Both answer the same way:
 the coupling check, the Schur-Cohn verdict on P, then the
 prescribed-node residual on an admissible P. One node (Radau), two
 nodes (Lobatto) and three nodes are their ell = 0 and ell = 1 members,
-read by ``radau``, ``lobatto2`` and ``three_nodes``. Besides these:
-arc-endpoint rules built on the endpoint-modified measure, and
-recovering tau from a target exactness parameter omega.
+read by ``radau``, ``lobatto2`` and ``three_nodes``, and a rule with
+both support-arc endpoints prescribed is the ell = 1 member too, read
+by ``classical_arc``. Besides these: recovering tau from a target
+exactness parameter omega.
 
 Throughout, f_i = conj(F_{n-ell}(alpha_i)) where F_k is the Blaschke
 quotient z rho_{k-1} / rho*_{k-1}.
@@ -35,32 +36,30 @@ from .errors import (
     NoSolutionError,
 )
 from ._kernels import blaschke_values
-from .measures import ArcSpec, in_open_arc, modified_hat_moments
+from .measures import ArcSpec, in_open_arc
 from .opuc import (
     TWO_PI,
-    MomentSequence,
     SchurSequence,
     UnitPoint,
     blaschke_eval,
-    blaschke_solve,
     schur_cohn,
     schur_cohn_rows,
-    schur_from_moments,
     wrap_theta,
 )
-from .poly import ComplexPoly, from_zeros
+from .poly import ComplexPoly
 from .qpopuc import QpopucSpec, assemble, residual_rows
 
 
 @dataclass
 class PrescriptionResult:
+    """The answer of every prescription: the spec (n, ell, P, tau), None
+    only for an inadmissible ``three_nodes`` triple; whether P passes the
+    Schur-Cohn test; and the diagnostics. The rule's nodes are the zeros
+    of the spec's Q (``zeros_on_circle``)."""
+
     spec: QpopucSpec | None
     admissible: bool
     diagnostics: dict = field(default_factory=dict)
-    # populated only by classical_arc, whose nodal polynomial lives on a
-    # modified moment chain rather than the base one
-    nodes: list | None = None
-    nodal_poly: ComplexPoly | None = None
 
 
 def _f_values(deltas: SchurSequence, n: int, ell: int, az: np.ndarray) -> np.ndarray:
@@ -459,61 +458,41 @@ def prescribe_2lp1(
 
 
 def classical_arc(
-    mu: MomentSequence,
+    deltas: SchurSequence,
     arc: ArcSpec,
     n: int,
     mode: str,
     tau_hat: complex | None = None,
     alpha: UnitPoint | None = None,
 ) -> PrescriptionResult:
-    """Rules with both endpoints of the support arc prescribed.
+    """Rules with both endpoints a and b of the support arc prescribed:
+    the ell = 1 pencil on the two endpoints, as ``lobatto2`` or
+    ``prescribe_2lp1`` answer it, with their Schur-Cohn verdict.
 
-    Works on the endpoint-modified moment chain: nodes are {a, b} plus
-    the n - 2 zeros of the degree-(n-2) invariant polynomial
-    z rho^_{n-3} + tau^ rho^*_{n-3} of the modified measure.
-    ``mode`` is "lobatto" (caller supplies tau_hat) or "peherstorfer"
-    (tau_hat = -F^_{n-2}(alpha) pins one interior node).
+    ``mode`` is "lobatto" (the caller supplies a unimodular tau_hat, and
+    the answer is ``lobatto2`` at tau = a b tau_hat) or "peherstorfer"
+    (the interior node alpha is prescribed as well, and the answer is
+    ``prescribe_2lp1`` on [a, b, alpha]). ``deltas`` is the measure's own
+    chain, as ``moment_chain(measure, n, 1)`` builds it, and the pencil
+    needs n >= 3. Either way the diagnostics hold ``tau`` and
+    ``tau_hat`` = conj(a b) tau.
     """
-    if n < 4:
-        raise InvalidParameterError("classical_arc requires n >= 4")
-    hat = modified_hat_moments(mu, arc.a, arc.b, mu.order - 1)
-    hat_deltas = schur_from_moments(hat, n - 2)
-    m = n - 2
-    if mode == "peherstorfer":
-        if alpha is None:
-            raise InvalidParameterError("peherstorfer mode requires alpha")
-        tau_hat = -blaschke_eval(hat_deltas, m, alpha.z)
-    elif mode == "lobatto":
+    ab = arc.a.z * arc.b.z
+    if mode == "lobatto":
         if tau_hat is None:
             raise InvalidParameterError("lobatto mode requires tau_hat")
         if abs(abs(tau_hat) - 1.0) > TOL.on_circle:
             raise InvalidParameterError("|tau_hat| must equal 1")
+        res = lobatto2(deltas, n, arc.a, arc.b, ab * tau_hat)
+    elif mode == "peherstorfer":
+        if alpha is None:
+            raise InvalidParameterError("peherstorfer mode requires alpha")
+        res = prescribe_2lp1(deltas, n, 1, [arc.a, arc.b, alpha])
     else:
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    tau_a = blaschke_eval(hat_deltas, m, arc.a.z)
-    tau_b = blaschke_eval(hat_deltas, m, arc.b.z)
-    diagnostics = {
-        "tau_hat": complex(tau_hat),
-        "tau_arc": (complex(tau_a), complex(tau_b)),
-        "tau": complex(arc.a.z * arc.b.z * tau_hat),
-    }
-    if not in_open_arc(-tau_hat, tau_a, tau_b):
-        return PrescriptionResult(None, False, diagnostics)
-    interior = blaschke_solve(hat_deltas, m, -tau_hat)
-    rho = ComplexPoly(hat_deltas.rho_coeffs(m - 1))
-    p_inner = rho.shift(1) + tau_hat * rho.reciprocal(m - 1)
-    nodal = from_zeros([arc.a.z, arc.b.z]) * p_inner
-    nodes = [arc.a, arc.b, *interior]
-    for pt in interior:
-        # radians: an interior node this close outside an endpoint is
-        # that endpoint, moved by the node solve's rounding
-        if not arc.contains(pt.z, closed=True, tol=1e-10):
-            return PrescriptionResult(
-                None, False, dict(diagnostics, escaped_node=pt.theta)
-            )
-    return PrescriptionResult(
-        None, True, diagnostics, nodes=nodes, nodal_poly=nodal
-    )
+    tau = complex(res.spec.tau)
+    res.diagnostics.update(tau=tau, tau_hat=tau * np.conj(ab))
+    return res
 
 
 def tau_for_omega(

@@ -2,7 +2,8 @@
 oracles of the batched code paths, the closed-form two-node tau arc, the
 least-squares oracle of a rule's weights, the (2*ell + 1)-node system in
 extended precision, the moment inner product, the Szego recursion in
-polynomial arithmetic, the orientation of circle triples, and the
+polynomial arithmetic, the orientation of circle triples, the
+endpoint-modified moment chain of the classical arc rules, and the
 benchmark's seeded request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
@@ -20,17 +21,22 @@ import numpy as np
 
 from circlequad import (
     ComplexPoly,
+    MomentSequence,
     UnitPoint,
     assemble,
+    blaschke_eval,
+    blaschke_solve,
     build_rule,
     moment_chain,
     prescribe_2l,
+    schur_from_moments,
 )
 from circlequad.config import TOL
 from circlequad.errors import (
     CircleQuadError,
     InvalidParameterError,
     NodesNotQuadratureError,
+    NotPositiveDefiniteError,
     PositivityViolationError,
 )
 from circlequad.measures import in_open_arc
@@ -88,6 +94,47 @@ def same_orientation(triple_a, triple_b) -> bool:
         return (cmath.phase(y) - base) % (2 * math.pi) < (cmath.phase(z) - base) % (2 * math.pi)
 
     return ccw(*triple_a) == ccw(*triple_b)
+
+
+def modified_hat_moments(mu, a, b, order: int) -> MomentSequence:
+    """Moments of the endpoint-vanishing modified measure
+    sqrt(conj(ab)) (z - a)(z - b) conj(z) d(mu), which vanishes at the two
+    arc endpoints a and b.
+
+    mu_hat_k = s [mu_{k+1} - (a + b) mu_k + a b mu_{k-1}], where s is
+    the square root of conj(a b) whose branch makes mu_hat_0 real and
+    positive.
+    """
+    if mu.order < order + 1:
+        raise InvalidParameterError(
+            f"need base moments to order {order + 1}, have {mu.order}"
+        )
+    az, bz = a.z, b.z
+    base = mu.array(-1, order + 1)
+    raw = base[2:] - (az + bz) * base[1:-1] + az * bz * base[:-2]
+    s = cmath.sqrt(np.conj(az * bz))
+    for branch in (s, -s):
+        h0 = branch * raw[0]
+        # the wrong branch gives a negative mu_hat_0; the right one is real
+        # up to the cancellation in the three-term combination
+        if h0.real > 0 and abs(h0.imag) <= 1e-10 * abs(h0.real):
+            return MomentSequence(branch * raw)
+    raise NotPositiveDefiniteError(
+        "no square-root branch makes the modified moment mu_hat_0 real positive; "
+        "the endpoints do not match the support of the measure"
+    )
+
+
+def modified_chain_nodes(mu, arc, n: int, tau_hat=None, alpha=None) -> list:
+    """The nodes of a rule with both arc endpoints prescribed, built on
+    the endpoint-modified chain: a, b and the n - 2 zeros of
+    z rho^_{n-3} + tau_hat rho^*_{n-3}, with tau_hat = -F^_{n-2}(alpha)
+    when alpha is given. The oracle of ``classical_arc``; nothing here
+    says whether the nodes carry a positive rule."""
+    hat = schur_from_moments(modified_hat_moments(mu, arc.a, arc.b, mu.order - 1), n - 2)
+    if alpha is not None:
+        tau_hat = -blaschke_eval(hat, n - 2, alpha.z)
+    return [arc.a, arc.b, *blaschke_solve(hat, n - 2, -tau_hat)]
 
 
 def lstsq_weights_rows(z, mu_arr, mu0: float):

@@ -127,3 +127,47 @@ def test_one_weights_gate():
                 found.append(("TOL.weight_sum", id(node) in inside))
     assert {name for name, _ in found} == {"PositivityViolationError", "TOL.weight_sum"}
     assert [name for name, inside_gate in found if not inside_gate] == []
+
+
+def _callers(name: str) -> set:
+    """module.function of every function in the library that calls ``name``."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+                        callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
+def test_one_chain_and_one_node_solve():
+    # one Levinson chain, built for every rule by ``moment_chain``, and one
+    # node solve, on the modified chain of ``zeros_on_circle``: a second
+    # caller would be a second chain or a second nodal polynomial
+    assert _callers("schur_from_moments") == {"measures.moment_chain"}
+    assert _callers("blaschke_solve") == {"qpopuc.zeros_on_circle"}
+
+
+def test_every_parameter_is_read():
+    # a parameter no line of its function reads is an input that changes
+    # nothing; self, cls and _-prefixed names may go unread, and an
+    # augmented assignment (an output buffer's ``arg += ...``) reads
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = [node for stmt in fn.body for node in ast.walk(stmt)]
+            targets = [node.target for node in body if isinstance(node, ast.AugAssign)]
+            read = {n.id for n in body if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            read |= {t.id for t in targets if isinstance(t, ast.Name)}
+            unread += [
+                f"{path.name}:{fn.lineno}: {fn.name}({name})"
+                for name in params
+                if name not in read and name not in ("self", "cls") and not name.startswith("_")
+            ]
+    assert unread == []

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from circlequad import ArcSpec, MeasureSpec, UnitPoint, modified_hat_moments, moments
+from circlequad import ArcSpec, MeasureSpec, UnitPoint, moments
 from circlequad.errors import FileFormatError, InvalidParameterError
 from circlequad.measures import (
     LEBESGUE,
@@ -16,7 +16,7 @@ from circlequad.measures import (
     save_moments,
 )
 
-from circlequad_helpers import same_orientation
+from circlequad_helpers import modified_hat_moments, same_orientation
 
 
 class TestArcSpec:

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 
@@ -18,7 +19,6 @@ from circlequad import (
     classical_arc,
     from_zeros,
     lobatto2,
-    moments,
     prescribe_2l,
     prescribe_2lp1,
     radau,
@@ -27,6 +27,7 @@ from circlequad import (
     tau_for_omega,
     tau_pencil,
     three_nodes,
+    verify_exactness,
     zeros_on_circle,
 )
 from circlequad.config import TOL
@@ -43,6 +44,8 @@ from circlequad.qpopuc import orthogonality_params, residual_rows
 from circlequad_helpers import (
     chain,
     elimination_pencil,
+    lstsq_weights,
+    modified_chain_nodes,
     odd_system,
     perfbench_workloads,
     random_tau,
@@ -524,28 +527,58 @@ class TestEmptyPrescription:
             assert exc.value.condition == "invalid-parameter"
 
 
+# the arcs of the classical-arc sweep, 1.9 to 4.2 radians long, one across 2 pi
+ARC_SWEEP = [(0.3, 2.4), (1.0, 4.5), (0.2, 3.8), (2.0, 6.2), (5.75, 7.66)]
+
+
+def arc_request(ta, tb, mode, k):
+    """The k-th of 20 requests per case: tau_hat spread around the circle
+    ("lobatto") or alpha spread inside the arc ("peherstorfer")."""
+    if mode == "lobatto":
+        return {"tau_hat": cmath.exp(2j * math.pi * (k + 0.5) / 20)}
+    return {"alpha": unit(ta + (tb - ta) * (k + 1) / 21)}
+
+
+@functools.cache
+def classical_arc_sweep() -> list:
+    """The admissible answers of the sweep, n = 3..12, 20 requests per
+    mode, as (measure, arc, n, mu, deltas, request, result)."""
+    out = []
+    for ta, tb in ARC_SWEEP:
+        meas = MeasureSpec("arc_lebesgue", theta_a=ta, theta_b=tb)
+        arc = ArcSpec(unit(ta), unit(tb))
+        for n in range(3, 13):
+            mu, deltas = chain(meas, n, 1)
+            for mode, k in itertools.product(("lobatto", "peherstorfer"), range(20)):
+                req = arc_request(ta, tb, mode, k)
+                res = classical_arc(deltas, arc, n, mode, **req)
+                if res.admissible:
+                    out.append((meas, arc, n, mu, deltas, req, res))
+    return out
+
+
 class TestClassicalArc:
     def test_lobatto_mode_endpoints_present(self):
         ta, tb = 0.3, 2.4
         meas = MeasureSpec("arc_lebesgue", theta_a=ta, theta_b=tb)
         arc = ArcSpec(unit(ta), unit(tb))
         n = 6
-        mu = moments(meas, 2 * n)
+        _, deltas = chain(meas, n, 1)
         found = False
         for k in range(16):
             tau_hat = cmath.exp(2j * math.pi * k / 16)
-            res = classical_arc(mu, arc, n, "lobatto", tau_hat=tau_hat)
+            res = classical_arc(deltas, arc, n, "lobatto", tau_hat=tau_hat)
             if not res.admissible:
                 continue
             found = True
-            thetas = [p.theta for p in res.nodes]
-            assert len(res.nodes) == n
+            nodes = zeros_on_circle(res.spec, deltas)
+            thetas = [p.theta for p in nodes]
+            assert len(nodes) == n
             assert min(abs(t - ta) for t in thetas) < 1e-12
             assert min(abs(t - tb) for t in thetas) < 1e-12
-            for p in res.nodes:
+            for p in nodes:
                 assert arc.contains(p.z, closed=True, tol=1e-9)
-            z = np.array([p.z for p in res.nodes])
-            assert np.max(np.abs(res.nodal_poly(z))) < 1e-9
+            assert np.max(np.abs(assemble(res.spec, deltas)(nodes.z))) < 1e-9
         assert found
 
     def test_peherstorfer_mode_pins_interior_node(self):
@@ -553,27 +586,65 @@ class TestClassicalArc:
         meas = MeasureSpec("arc_lebesgue", theta_a=ta, theta_b=tb)
         arc = ArcSpec(unit(ta), unit(tb))
         n = 6
-        mu = moments(meas, 2 * n)
+        _, deltas = chain(meas, n, 1)
         pinned = 0
         for t in np.linspace(ta + 0.2, tb - 0.2, 9):
             alpha = unit(float(t))
-            res = classical_arc(mu, arc, n, "peherstorfer", alpha=alpha)
+            res = classical_arc(deltas, arc, n, "peherstorfer", alpha=alpha)
             if not res.admissible:
                 continue
             pinned += 1
-            assert min(abs(p.theta - alpha.theta) for p in res.nodes) < 1e-10
+            nodes = zeros_on_circle(res.spec, deltas)
+            assert min(abs(p.theta - alpha.theta) for p in nodes) < 1e-10
         assert pinned > 0
+
+    @pytest.mark.parametrize("mode, k", [("lobatto", 6), ("peherstorfer", 0)])
+    def test_negative_weight_answer_is_inadmissible(self, mode, k):
+        # arc (0.3, 2.4), n = 4: every node of the modified-chain
+        # construction lies in the arc, but the weights that match the
+        # moments are not all positive (-0.22 and -0.48), so P is unstable
+        ta, tb, n = 0.3, 2.4, 4
+        meas = MeasureSpec("arc_lebesgue", theta_a=ta, theta_b=tb)
+        arc = ArcSpec(unit(ta), unit(tb))
+        mu, deltas = chain(meas, n, 1)
+        req = arc_request(ta, tb, mode, k)
+        nodes = modified_chain_nodes(mu, arc, n, **req)
+        assert all(arc.contains(p.z, closed=True, tol=1e-12) for p in nodes)
+        assert np.min(lstsq_weights(nodes, mu, n - 2)) < -0.1
+        assert not classical_arc(deltas, arc, n, mode, **req).admissible
+
+    def test_sweep_answers_are_rules(self):
+        # every admissible answer, n = 3 included, builds a rule that
+        # holds both endpoints (within 2.3e-15 at worst) and is exact
+        answers = classical_arc_sweep()
+        assert {n for _, _, n, *_ in answers} == set(range(3, 13))
+        for meas, arc, _, mu, deltas, _, res in answers:
+            rule = build_rule(meas, res.spec, mu=mu, deltas=deltas)
+            assert verify_exactness(rule, mu)["passes"]
+            for end in (arc.a, arc.b):
+                assert min(abs(p.z - end.z) for p in rule.nodes) < 1e-14
+
+    def test_q_vanishes_at_modified_chain_nodes(self):
+        # the endpoint-modified chain gives the same rule: at its nodes Q
+        # is within 1.8e-12 ("lobatto") and 4.2e-12 ("peherstorfer") of
+        # its largest coefficient at worst
+        for _, arc, n, mu, deltas, req, res in classical_arc_sweep():
+            q = assemble(res.spec, deltas)
+            z = np.array([p.z for p in modified_chain_nodes(mu, arc, n, **req)])
+            assert np.max(np.abs(q(z))) <= 1e-11 * np.max(np.abs(q.coeffs))
 
     def test_mode_validation(self):
         meas = MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4)
-        mu = moments(meas, 12)
+        _, deltas = chain(meas, 6, 1)
         arc = ArcSpec(unit(0.3), unit(2.4))
         with pytest.raises(InvalidParameterError):
-            classical_arc(mu, arc, 6, "bogus")
+            classical_arc(deltas, arc, 6, "bogus")
         with pytest.raises(InvalidParameterError):
-            classical_arc(mu, arc, 6, "peherstorfer")
+            classical_arc(deltas, arc, 6, "peherstorfer")
         with pytest.raises(InvalidParameterError):
-            classical_arc(mu, arc, 6, "lobatto")
+            classical_arc(deltas, arc, 6, "lobatto")
+        with pytest.raises(InvalidParameterError):
+            classical_arc(deltas, arc, 6, "lobatto", tau_hat=1.5)
 
 
 class TestTauForOmega:
