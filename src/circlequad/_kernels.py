@@ -2,6 +2,14 @@
 recursion, the split Blaschke phase of the node solve, and the Pruefer
 pass that certifies the solved nodes and gives their weights (numpy
 only).
+
+Every kernel steps through its chain in buffers allocated once per call,
+with each step's operations and operands in the order of its formula.
+numpy's complex multiply may fuse a multiply and an add (FMA), so a
+swapped operand (``x *= d`` for ``d * x``), a one-point product written
+over its own input, or a Python-complex scalar in place of numpy's can
+change the last bit; ``szego_eval`` keeps to all three, and matches its
+allocate-per-step form to the bit.
 """
 
 import numpy as np
@@ -13,14 +21,20 @@ def szego_eval(deltas, z):
     applies
     rho_j = z rho_{j-1} + delta_j rho*_{j-1},
     rho*_j = conj(delta_j) z rho_{j-1} + rho*_{j-1}.
+    Each step runs in preallocated buffers, as in ``_phase_steps``, with
+    the operands of these expressions in their order.
     """
     z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    deltas = np.asarray(deltas, dtype=np.complex128)
     rho = np.ones(z.shape, dtype=np.complex128)
     rho_star = np.ones(z.shape, dtype=np.complex128)
-    for d in np.asarray(deltas, dtype=np.complex128):
-        zr = z * rho
-        rho = zr + d * rho_star
-        rho_star = np.conj(d) * zr + rho_star
+    zr, term = np.empty_like(rho), np.empty_like(rho)
+    for d, dc in zip(deltas, np.conj(deltas)):
+        np.multiply(z, rho, out=zr)
+        np.multiply(dc, zr, out=term)
+        np.multiply(d, rho_star, out=rho)
+        rho += zr
+        rho_star += term
     return rho, rho_star
 
 

@@ -31,13 +31,18 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_theta(theta):
-    """theta reduced to [0, 2 pi).
+    """theta, a float or an array, reduced to [0, 2 pi).
 
     ``x % TWO_PI`` rounds up to exactly 2 pi for tiny negative x; that
-    case is the angle 0.
+    case is the angle 0, and so is NaN. A float takes Python's ``%``,
+    which runs numpy's ``np.mod`` algorithm (fmod, then a sign fix) with
+    the same result to the bit, -0.0 included, and so makes no numpy
+    call; an array takes ``np.remainder`` (``np.mod``) and ``np.where``.
     """
-    theta = np.mod(theta, TWO_PI)
-    return np.where(theta < TWO_PI, theta, 0.0)
+    theta = theta % TWO_PI
+    if isinstance(theta, np.ndarray):
+        return np.where(theta < TWO_PI, theta, 0.0)
+    return theta if theta < TWO_PI else 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,19 +173,18 @@ class SchurSequence:
     def params(self, n: int | None = None) -> np.ndarray:
         """delta_1..delta_n as a plain array."""
         n = self.order if n is None else n
-        if n > self.order:
-            raise InvalidParameterError(f"order {n} beyond available {self.order}")
+        _check_order(n, self.order)
         return self.delta[1 : n + 1]
 
     def rho_coeffs(self, k: int) -> np.ndarray:
         """Coefficients of the monic recursion polynomial of degree k,
-        recursed from rho_0 on each call (nothing is kept on the chain)."""
-        if k > self.order:
-            raise InvalidParameterError(f"order {k} beyond available {self.order}")
-        rho = np.array([1.0 + 0.0j])
-        for d in self.delta[1 : k + 1]:
-            rho = _szego_step(rho, d)
-        return rho
+        low-to-high, recursed from rho_0 on each call (nothing is kept on
+        the chain) in the two buffers of length k + 1 of ``_szego_step``."""
+        _check_order(k, self.order)
+        buf, star = _szego_buffers(k)
+        for s, d in zip(range(k, 0, -1), self.delta[1 : k + 1]):
+            _szego_step(buf, s, d, star)
+        return buf
 
     @staticmethod
     def from_params(params, e0: float = 1.0) -> "SchurSequence":
@@ -191,11 +195,41 @@ class SchurSequence:
         return SchurSequence(np.concatenate([[1.0], params]), norms)
 
 
-def _szego_step(rho: np.ndarray, d: complex) -> np.ndarray:
-    """Coefficients of z rho + d rho* for a monic rho."""
-    zr = np.concatenate([[0.0], rho])
-    rs = np.concatenate([np.conj(rho[::-1]), [0.0]])
-    return zr + d * rs
+def _check_order(k: int, order: int) -> None:
+    """Refuse an order k outside 0..order: a negative k would slice the
+    chain from its end."""
+    if k < 0:
+        raise InvalidParameterError(f"order {k} is negative")
+    if k > order:
+        raise InvalidParameterError(f"order {k} beyond available {order}")
+
+
+def _szego_buffers(n: int) -> tuple:
+    """The two buffers of the Szego recursion up to degree n, each of
+    length n + 1, at rho_0: the zero-filled coefficients with rho_0 = 1 in
+    the last slot, and its reversal rho*_0 = 1 in the same slot."""
+    buf = np.zeros(n + 1, dtype=complex)
+    buf[n] = 1.0
+    star = np.empty(n + 1, dtype=complex)
+    star[n] = 1.0
+    return buf, star
+
+
+def _szego_step(buf: np.ndarray, s: int, d, star: np.ndarray) -> None:
+    """One step rho_{k+1} = z rho_k + d rho*_k, in place.
+
+    The buffers grow downward: rho_k is ``buf[s:]`` (low-to-high, monic,
+    k = len(buf) - 1 - s) with zeros below it, so z rho_k is ``buf[s-1:]``
+    with no copy, and its conjugate reversal rho*_k is ``star[s:]``. The
+    step adds d rho*_k, made over rho*_k, to every coefficient of z rho_k
+    but the leading 1, which leaves rho_{k+1} in ``buf[s-1:]``, and then
+    writes rho*_{k+1} to ``star[s-1:]``. The operands keep the order of
+    z rho + d rho*, so the step rounds as that expression does, to the
+    bit.
+    """
+    term = np.multiply(d, star[s:], out=star[s:])
+    buf[s - 1 : -1] += term
+    np.conjugate(buf[s - 1 :][::-1], out=star[s - 1 :])
 
 
 def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
@@ -203,29 +237,33 @@ def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
 
     delta_k = -<z rho_{k-1}, 1> / <rho*_{k-1}, 1>, with the norm update
     E_k = E_{k-1} (1 - |delta_k|^2) acting as the positive-definiteness
-    certificate. rho_k comes from ``_szego_step``, and rho*_{k-1} is read
-    off rho_{k-1} as its conjugate reversal.
+    certificate. rho_{k-1} and rho*_{k-1} live in the two downward-growing
+    buffers of ``_szego_step``, which makes rho_k and rho*_k from them in
+    place, so no step allocates an array.
     """
+    if n < 0:
+        raise InvalidParameterError(f"order {n} is negative")
     if n > mu.order:
         raise MomentRangeError(f"need moments to order {n}, have {mu.order}")
     mu_arr = mu.array(0, n)
-    rho = np.array([1.0 + 0.0j])
-    params = []
+    buf, star = _szego_buffers(n)
+    params = np.empty(n, dtype=complex)
     e0 = float(mu_arr[0].real)
     e = e0
     for k in range(1, n + 1):
-        num = np.dot(rho, mu_arr[1 : len(rho) + 1])
-        den = np.dot(np.conj(rho[::-1]), mu_arr[: len(rho)])
+        s = n + 1 - k  # rho_{k-1} = buf[s:], of length k
+        num = np.dot(buf[s:], mu_arr[1 : k + 1])
+        den = np.dot(star[s:], mu_arr[:k])
         d = -num / den
         e_next = e * (1.0 - abs(d) ** 2)
         if abs(d) >= 1.0 or e_next <= 0:
             raise NotPositiveDefiniteError(
                 f"moment sequence not positive definite at order {k} (|delta| = {abs(d)})"
             )
-        rho = _szego_step(rho, d)
-        params.append(d)
+        _szego_step(buf, s, d, star)
+        params[k - 1] = d
         e = e_next
-    return SchurSequence.from_params(np.array(params), e0=e0)
+    return SchurSequence.from_params(params, e0=e0)
 
 
 def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:

@@ -41,7 +41,7 @@ from .opuc import (
     schur_cohn_rows,
     wrap_theta,
 )
-from .prescribe import prescribe_2l, tau_arcs, tau_pencil
+from .prescribe import _pencil_answer, tau_arcs, tau_pencil
 from .qpopuc import QpopucSpec, orthogonality_params, residual_rows, zeros_on_circle
 
 GREEN = "positive"
@@ -336,12 +336,14 @@ class _Scan:
         return codes
 
     def certificate(self, start: float, end: float) -> ArcCertificate:
-        """``prescribe_2l``, ``build_rule`` and ``verify_exactness`` at the
-        midpoint of a green arc."""
+        """``prescribe_2l``'s answer, ``build_rule`` and
+        ``verify_exactness`` at the midpoint of a green arc. The answer
+        is read off the scan's own pencil, which ``prescribe_2l`` would
+        factor again."""
         theta = float(wrap_theta(start + 0.5 * ((end - start) % TWO_PI or TWO_PI)))
         tau = complex(np.exp(1j * theta))
         try:
-            spec = prescribe_2l(self.deltas, self.n, self.ell, self.alphas, tau).spec
+            spec = _pencil_answer(self.pencil, self.deltas, self.n, self.alphas, tau).spec
             rule = build_rule(self.measure, spec, mu=self.mu, deltas=self.deltas)
         except CircleQuadError as exc:
             return ArcCertificate(start, end, theta, False, math.nan, exc.condition)

@@ -2,7 +2,8 @@
 oracles of the batched code paths, the closed-form two-node tau arc, the
 least-squares oracle of a rule's weights, the (2*ell + 1)-node system in
 extended precision, the moment inner product, the Szego recursion in
-polynomial arithmetic, the orientation of circle triples, the
+polynomial arithmetic, the allocate-per-step loops of Levinson and the
+Szego recursions, the orientation of circle triples, the
 endpoint-modified moment chain of the classical arc rules, and the
 benchmark's seeded request draws as test data.
 
@@ -22,6 +23,7 @@ import numpy as np
 from circlequad import (
     ComplexPoly,
     MomentSequence,
+    SchurSequence,
     UnitPoint,
     assemble,
     blaschke_eval,
@@ -82,6 +84,61 @@ def szego_from_schur(deltas, n: int) -> list:
     for k, d in enumerate(deltas.params(n), start=1):
         polys.append(polys[-1].shift(1) + complex(d) * polys[-1].reciprocal(k - 1))
     return polys
+
+
+# The allocate-per-step loops that ``schur_from_moments``,
+# ``SchurSequence.rho_coeffs`` and ``_kernels.szego_eval`` ran before they
+# kept their coefficients in preallocated buffers: the oracles that the
+# buffered loops match to the bit.
+
+
+def szego_step_loop(rho: np.ndarray, d: complex) -> np.ndarray:
+    """Coefficients of z rho + d rho* for a monic rho, as a new array."""
+    zr = np.concatenate([[0.0], rho])
+    rs = np.concatenate([np.conj(rho[::-1]), [0.0]])
+    return zr + d * rs
+
+
+def rho_coeffs_loop(deltas, k: int) -> np.ndarray:
+    """``SchurSequence.rho_coeffs`` by ``szego_step_loop``."""
+    rho = np.array([1.0 + 0.0j])
+    for d in deltas.delta[1 : k + 1]:
+        rho = szego_step_loop(rho, d)
+    return rho
+
+
+def levinson_loop(mu, n: int) -> SchurSequence:
+    """``schur_from_moments`` with a new rho, and a new rho*, per step."""
+    mu_arr = mu.array(0, n)
+    rho = np.array([1.0 + 0.0j])
+    params = []
+    e0 = float(mu_arr[0].real)
+    e = e0
+    for k in range(1, n + 1):
+        num = np.dot(rho, mu_arr[1 : len(rho) + 1])
+        den = np.dot(np.conj(rho[::-1]), mu_arr[: len(rho)])
+        d = -num / den
+        e_next = e * (1.0 - abs(d) ** 2)
+        if abs(d) >= 1.0 or e_next <= 0:
+            raise NotPositiveDefiniteError(
+                f"moment sequence not positive definite at order {k} (|delta| = {abs(d)})"
+            )
+        rho = szego_step_loop(rho, d)
+        params.append(d)
+        e = e_next
+    return SchurSequence.from_params(np.array(params), e0=e0)
+
+
+def szego_eval_loop(deltas, z):
+    """``_kernels.szego_eval`` with new arrays per step."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    rho = np.ones(z.shape, dtype=np.complex128)
+    rho_star = np.ones(z.shape, dtype=np.complex128)
+    for d in np.asarray(deltas, dtype=np.complex128):
+        zr = z * rho
+        rho = zr + d * rho_star
+        rho_star = np.conj(d) * zr + rho_star
+    return rho, rho_star
 
 
 def same_orientation(triple_a, triple_b) -> bool:

@@ -18,11 +18,13 @@ from circlequad import (
     build_rule,
     from_zeros,
     lobatto2,
+    prescribe_2l,
     scan_tau,
     tau_pencil,
+    verify_exactness,
     zeros_on_circle,
 )
-from circlequad import quadrature
+from circlequad import prescribe, quadrature
 from circlequad.errors import CircleQuadError, PositivityViolationError
 from circlequad.prescribe import tau_arcs
 from circlequad.opuc import TWO_PI, schur_cohn_rows
@@ -273,6 +275,32 @@ class TestBatchedScan:
         assert scan.arcs == scan_tau(RS_HALF, 16, 3, paper_alphas(), grid_size=4000).arcs
         assert len(arcs) == len(seen) == (2 if grid == 8 else 3)
         assert np.max(np.abs(np.subtract(arcs, seen))) <= _BISECT
+
+    @pytest.mark.parametrize(
+        "measure, n, ell, angles",
+        [(RS_HALF, 16, 3, PAPER), (ARC, 12, 0, [])],
+        ids=["criterion-3", "ell-0"],
+    )
+    def test_one_factor_per_scan(self, monkeypatch, measure, n, ell, angles):
+        # the arc certificates read the scan's own pencil: the prescription
+        # is factored once per scan, and each certificate is the rule of
+        # ``prescribe_2l`` at its arc's midpoint
+        scan = scan_tau(measure, n, ell, paper_alphas(angles), grid_size=64)
+        factored = []
+        true_factor = prescribe._factor
+        monkeypatch.setattr(prescribe, "_factor", lambda *a: factored.append(a) or true_factor(*a))
+        assert scan_tau(measure, n, ell, paper_alphas(angles), grid_size=64).certificates == (
+            scan.certificates
+        )
+        assert len(factored) == 1 and len(scan.certificates) == (3 if ell else 1)
+        monkeypatch.undo()
+        mu, deltas = chain(measure, n, ell)
+        for cert in scan.certificates:
+            tau = complex(np.exp(1j * cert.theta))
+            spec = prescribe_2l(deltas, n, ell, paper_alphas(angles), tau).spec
+            report = verify_exactness(build_rule(measure, spec, mu=mu, deltas=deltas), mu)
+            assert cert.passes == report["passes"]
+            assert cert.resid_ratio == max(report["residuals"].values()) / report["tolerance"]
 
     def test_labels_do_not_depend_on_the_slicing(self):
         scan = _Scan(RS_HALF, 16, 3, paper_alphas())

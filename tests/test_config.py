@@ -149,6 +149,12 @@ def test_one_chain_and_one_node_solve():
     assert _callers("blaschke_solve") == {"qpopuc.zeros_on_circle"}
 
 
+def test_one_coefficient_step():
+    # Levinson runs on the shared Szego step: a third caller, or a second
+    # copy of the step, would be a second coefficient recursion
+    assert _callers("_szego_step") == {"opuc.schur_from_moments", "opuc.rho_coeffs"}
+
+
 def test_every_parameter_is_read():
     # a parameter no line of its function reads is an input that changes
     # nothing; self, cls and _-prefixed names may go unread, and an

@@ -1,4 +1,5 @@
 import cmath
+import math
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from circlequad import (
     schur_from_moments,
 )
 from circlequad import opuc
+from circlequad._kernels import szego_eval
 from circlequad.errors import (
     BoundaryDegenerateError,
     DomainError,
@@ -30,7 +32,15 @@ from circlequad.measures import MeasureSpec, moments
 from circlequad.config import TOL
 from circlequad.opuc import TWO_PI, wrap_theta
 
-from circlequad_helpers import chain, direct_christoffel, inner_product, szego_from_schur
+from circlequad_helpers import (
+    chain,
+    direct_christoffel,
+    inner_product,
+    levinson_loop,
+    rho_coeffs_loop,
+    szego_eval_loop,
+    szego_from_schur,
+)
 
 
 def cmv_eigenvalues(alpha):
@@ -94,6 +104,30 @@ class TestUnitPoint:
             0.0, 0.0, TWO_PI - 0.5
         ]
 
+
+    def test_wrap_theta_matches_numpy_to_the_bit(self):
+        # a float is reduced by Python's %, an array by np.mod: both give
+        # np.mod then np.where to the bit, the sign of zero included
+        tiny = np.nextafter(0.0, -1.0)
+        pinned = [0.0, -0.0, tiny, -tiny, -1e-300, -1e-17, -1e-16, -0.5, 1.25,
+                  TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0),
+                  np.nan, 1e300, -1e300]
+        pinned += [k * TWO_PI for k in range(-40, 41)]
+        pinned += [np.nextafter(k * TWO_PI, s) for k in range(-40, 41) for s in (-1e3, 1e3)]
+        rng = np.random.default_rng(31)
+        drawn = np.concatenate([
+            rng.uniform(-50.0, 50.0, size=4000),
+            -(10.0 ** rng.uniform(-320.0, 0.0, size=4000)),
+            TWO_PI * rng.integers(-1000, 1000, size=2000),
+        ])
+        x = np.concatenate([pinned, drawn])
+        reduced = np.mod(x, TWO_PI)
+        want = np.where(reduced < TWO_PI, reduced, 0.0)
+        assert np.array_equal(wrap_theta(x).view(np.int64), want.view(np.int64))
+        got = np.array([wrap_theta(float(v)) for v in x])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert wrap_theta(np.nan) == 0.0 and math.copysign(1.0, wrap_theta(-0.0)) == 1.0
+        assert type(wrap_theta(-1e-17)) is float
 
     def test_unit_points_sequence(self):
         # the solver's compact node sequence reads like a list of UnitPoint
@@ -162,6 +196,100 @@ class TestSchurSequence:
         polys = szego_from_schur(s, 5)
         for k in (4, 2, 5, 3):
             assert np.allclose(fresh.rho_coeffs(k), polys[k].coeffs)
+
+
+class TestNegativeOrders:
+    # a negative order would slice the chain from its end
+    def test_levinson(self):
+        mu = moments(MeasureSpec("rogers_szego", q=0.5), 6)
+        with pytest.raises(InvalidParameterError, match="order -3 is negative"):
+            schur_from_moments(mu, -3)
+
+    def test_rho_coeffs_and_params(self):
+        s = SchurSequence.from_params([0.5, -0.25j, 0.1, 0.2, 0.3])
+        assert s.order == 5
+        for k in (-1, -2, -5, -6):
+            with pytest.raises(InvalidParameterError, match=f"order {k} is negative"):
+                s.rho_coeffs(k)
+            with pytest.raises(InvalidParameterError, match=f"order {k} is negative"):
+                s.params(k)
+        assert s.rho_coeffs(0).tolist() == [1.0] and len(s.params(0)) == 0
+
+
+def _seeded_measures(rng, count):
+    """count Rogers-Szego measures, q in [0.3, 0.95], and count
+    arc-Lebesgue measures on arcs 1 to 5.5 wide."""
+    out = [MeasureSpec("rogers_szego", q=float(q)) for q in rng.uniform(0.3, 0.95, size=count)]
+    for a, span in zip(rng.uniform(0.0, TWO_PI, size=count), rng.uniform(1.0, 5.5, size=count)):
+        out.append(MeasureSpec("arc_lebesgue", theta_a=float(a), theta_b=float(a + span)))
+    return out
+
+
+def _assert_recursions_match(s, rng):
+    """rho_coeffs(k) for every k, and (rho, rho*) at 1, 11 and 32 circle
+    points, equal to the bit to the allocate-per-step loops."""
+    for k in range(s.order + 1):
+        assert np.array_equal(s.rho_coeffs(k), rho_coeffs_loop(s, k))
+    for size in (1, 11, 32):
+        z = np.exp(1j * rng.uniform(0.0, TWO_PI, size=size))
+        got, want = szego_eval(s.params(), z), szego_eval_loop(s.params(), z)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestInPlaceRecursions:
+    """The buffered recursions against the loops that allocate per step
+    (``circlequad_helpers``): the same operations on the same operands in
+    the same order, so the same bits, chain and refusal alike."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 40, 256])
+    def test_levinson_chains(self, n):
+        rng = np.random.default_rng(400 + n)
+        refused = 0
+        for measure in _seeded_measures(rng, 3):
+            mu = moments(measure, n)
+            try:
+                want = levinson_loop(mu, n)
+            except NotPositiveDefiniteError as exc:
+                refused += 1
+                with pytest.raises(NotPositiveDefiniteError, match=f"^{re.escape(str(exc))}$"):
+                    schur_from_moments(mu, n)
+                continue
+            got = schur_from_moments(mu, n)
+            assert np.array_equal(got.delta, want.delta)
+            assert np.array_equal(got.norms, want.norms)
+            _assert_recursions_match(got, rng)
+        assert refused < 6  # some chains of every size are compared
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 40, 256])
+    def test_chains_near_the_circle(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(3):
+            moduli = 0.99999 * rng.uniform(0.0, 1.0, size=n) ** 0.1
+            s = SchurSequence.from_params(moduli * np.exp(1j * rng.uniform(0.0, TWO_PI, size=n)))
+            _assert_recursions_match(s, rng)
+
+    @pytest.mark.parametrize(
+        "measure, order",
+        [
+            (MeasureSpec("arc_lebesgue", theta_a=0.3, theta_b=2.4), 16),
+            (MeasureSpec("rogers_szego", q=0.95), 28),
+        ],
+        ids=["arc", "rogers-szego"],
+    )
+    def test_breakdown_order_and_message(self, measure, order):
+        # past the breakdown of moment Levinson (ROADMAP item 2), the same
+        # order and |delta| as the loop
+        for n in (order, order + 1, 40):
+            mu = moments(measure, n)
+            with pytest.raises(NotPositiveDefiniteError) as want:
+                levinson_loop(mu, n)
+            assert f"at order {order} " in str(want.value)
+            with pytest.raises(NotPositiveDefiniteError, match=f"^{re.escape(str(want.value))}$"):
+                schur_from_moments(mu, n)
+        assert np.array_equal(
+            schur_from_moments(moments(measure, order - 1), order - 1).delta,
+            levinson_loop(moments(measure, order - 1), order - 1).delta,
+        )
 
 
 class TestSchurFromMoments:
