@@ -36,10 +36,14 @@ from .quadrature import (
 
 
 def parse_angle(text: str) -> float:
-    """Radians, with ``pi:<rational>`` meaning that multiple of pi."""
+    """Radians, with ``pi:<rational>`` meaning that multiple of pi; NaN
+    and infinities are refused."""
     if text.startswith("pi:"):
         return float(Fraction(text[3:]) * Fraction(math.pi))
-    return float(text)
+    theta = float(text)
+    if not math.isfinite(theta):
+        raise InvalidParameterError(f"angle {text!r} is not finite")
+    return theta
 
 
 def parse_unimodular(text: str) -> complex:
@@ -49,7 +53,7 @@ def parse_unimodular(text: str) -> complex:
         z = complex(re, im)
         # looser than TOL.on_circle: a typed pair carries few digits, and
         # the point is normalised onto the circle below
-        if abs(abs(z) - 1.0) > 1e-9:
+        if not abs(abs(z) - 1.0) <= 1e-9:
             raise InvalidParameterError(f"|{text}| = {abs(z)} is not 1")
         return z / abs(z)
     theta = parse_angle(text)

@@ -45,21 +45,35 @@ def wrap_theta(theta):
     return theta if theta < TWO_PI else 0.0
 
 
+def _require_finite(theta) -> None:
+    """Refuse a NaN or infinite angle, which has no point on the circle."""
+    if not math.isfinite(theta):
+        raise InvalidParameterError(f"angle {theta} is not finite")
+
+
 @dataclass(frozen=True, slots=True)
 class UnitPoint:
-    """A point e^{i theta} on the unit circle, kept in both forms."""
+    """A point e^{i theta} on the unit circle, kept in both forms.
+
+    A non-finite theta is refused with ``InvalidParameterError``, before
+    ``wrap_theta`` would map it to 0, and a z off the circle, NaN
+    included, with ``DomainError``: every gate is written
+    ``not (deviation <= tol)``, which a NaN deviation fails.
+    """
 
     theta: float
     z: complex
 
     def __post_init__(self):
-        if abs(abs(self.z) - 1.0) > TOL.unit_point:
+        _require_finite(self.theta)
+        if not abs(abs(self.z) - 1.0) <= TOL.unit_point:
             raise DomainError(f"|z| = {abs(self.z)} is not on the unit circle")
-        if abs(self.z - cmath.exp(1j * self.theta)) > TOL.unit_point:
+        if not abs(self.z - cmath.exp(1j * self.theta)) <= TOL.unit_point:
             raise InternalConsistencyError("theta and z disagree")
 
     @staticmethod
     def from_theta(theta: float) -> "UnitPoint":
+        _require_finite(theta)
         theta = float(wrap_theta(theta))
         return UnitPoint(theta, cmath.exp(1j * theta))
 
@@ -67,7 +81,7 @@ class UnitPoint:
     # circle here, so only a point clearly off it is refused
     @staticmethod
     def from_complex(z: complex, tol: float = 1e-9) -> "UnitPoint":
-        if abs(abs(z) - 1.0) > tol:
+        if not abs(abs(z) - 1.0) <= tol:
             raise DomainError(f"|z| = {abs(z)} is off the unit circle")
         z = z / abs(z)
         return UnitPoint(float(wrap_theta(cmath.phase(z))), z)
@@ -268,7 +282,7 @@ def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
 
 def blaschke_eval(deltas: SchurSequence, n: int, z: complex) -> complex:
     """F_n(z) = z rho_{n-1}(z) / rho*_{n-1}(z) for z on the unit circle."""
-    if abs(abs(z) - 1.0) > TOL.on_circle * 10:
+    if not abs(abs(z) - 1.0) <= TOL.on_circle * 10:
         raise DomainError(f"|z| = {abs(z)} off the unit circle")
     return complex(blaschke_values(deltas.params(n - 1), np.array([z]))[0])
 
@@ -366,7 +380,7 @@ def blaschke_solve(deltas: SchurSequence, n: int, target: complex) -> UnitPoints
     numbers times mu_0 = ``deltas.norms[0]``: its Szego rule, positive by
     construction.
     """
-    if abs(abs(target) - 1.0) > TOL.on_circle * 10:
+    if not abs(abs(target) - 1.0) <= TOL.on_circle * 10:
         raise DomainError(f"|target| = {abs(target)} off the unit circle")
     params = deltas.params(n - 1)
     theta = np.sort(wrap_theta(_solve_angles(params, target)))
@@ -403,20 +417,36 @@ def schur_cohn_rows(coeffs):
     k = ell..1; a row is stable when every |s_k(0)| < 1, and in the band
     when some |s_k(0)| lies within TOL.disk_boundary_band of 1 (its later
     kappas are then meaningless).
+
+    The recursion runs degree-major. The rows are copied once into a
+    (ell + 1, batch) buffer c, whose row j holds the degree-j coefficient
+    of every polynomial, so each step reads and writes whole contiguous
+    rows of the batch, not a strided column of each polynomial. P_k sits
+    in c[ell - k:], low-to-high, and its kappa in the first of those rows,
+    which no later step writes, so c[:ell] ends as the kappas. A step
+    writes the coefficients of degree 1..k of P_k*, the conjugate of the
+    rows of P_k but its leading one in reverse, into a second buffer,
+    multiplies them by kappa, subtracts them from the rows of P_k but its
+    first, and divides by 1 - |kappa|**2 into those rows, which then hold
+    P_{k-1}. The operands keep the order of
+    (P_k - kappa P_k*) / z / (1 - |kappa|**2), so each kappa rounds as
+    that expression does, to the bit.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    ell = coeffs.shape[1] - 1
-    kappas = np.empty((len(coeffs), ell), dtype=complex)
+    c = np.asarray(coeffs, dtype=complex).T.copy()
+    ell = len(c) - 1
+    rev = c[::-1]
+    t = np.empty((ell, c.shape[1]), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i in range(ell):
-            kappa = coeffs[:, :1]  # P_k(0); P_k*(0) = conj(leading) ~ 1
-            kappas[:, i] = kappa[:, 0]
-            star = np.conj(coeffs[:, ::-1])
-            coeffs = (coeffs - kappa * star)[:, 1:] / (1.0 - np.abs(kappa) ** 2)
-        mod = np.abs(kappas)
-        band = np.any(np.abs(mod - 1.0) <= TOL.disk_boundary_band, axis=1)
-        stable = np.all(mod < 1.0, axis=1)
-    return kappas, stable, band
+            kappa = c[i]  # P_k(0); P_k*(0) = conj(leading) ~ 1
+            star = np.conjugate(rev[1 : ell + 1 - i], t[i:])
+            np.multiply(kappa, star, star)
+            np.subtract(c[i + 1 :], star, star)
+            np.divide(star, 1.0 - np.abs(kappa) ** 2, c[i + 1 :])
+        mod = np.abs(c[:ell])
+        band = (np.abs(mod - 1.0) <= TOL.disk_boundary_band).any(axis=0)
+        stable = (mod < 1.0).all(axis=0)
+    return c[:ell].T, stable, band
 
 
 def schur_cohn(p: ComplexPoly) -> SchurCohnResult:

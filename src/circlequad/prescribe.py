@@ -481,7 +481,7 @@ def classical_arc(
     if mode == "lobatto":
         if tau_hat is None:
             raise InvalidParameterError("lobatto mode requires tau_hat")
-        if abs(abs(tau_hat) - 1.0) > TOL.on_circle:
+        if not abs(abs(tau_hat) - 1.0) <= TOL.on_circle:
             raise InvalidParameterError("|tau_hat| must equal 1")
         res = lobatto2(deltas, n, arc.a, arc.b, ab * tau_hat)
     elif mode == "peherstorfer":
@@ -514,7 +514,7 @@ def tau_for_omega(
     where degenerate means omega does not depend on tau at all (B = 0
     with the target attained).
     """
-    if abs(abs(omega) - 1.0) > TOL.on_circle:
+    if not abs(abs(omega) - 1.0) <= TOL.on_circle:
         raise InvalidParameterError("|omega| must equal 1")
     pencil = tau_pencil(deltas, n, ell, alphas)
     if not pencil.cond <= TOL.condition_limit:
@@ -544,7 +544,7 @@ def tau_for_omega(
     roots = np.roots(coeffs[np.argmax(np.abs(coeffs) > 0) :]) if np.any(coeffs != 0) else []
     out = []
     for r in np.atleast_1d(roots):
-        if abs(abs(r) - 1.0) > 1e-10:  # a root on the circle
+        if not abs(abs(r) - 1.0) <= 1e-10:  # a root on the circle
             continue
         tau = complex(r / abs(r))
         realized = _omega_from_p0(a_coef, b_coef, tau, delta)

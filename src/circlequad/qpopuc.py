@@ -48,7 +48,7 @@ class QpopucSpec:
             raise InvalidParameterError(
                 f"P must be monic of degree {self.ell}, got degree {self.P.degree}"
             )
-        if abs(abs(self.tau) - 1.0) > TOL.unit_point:
+        if not abs(abs(self.tau) - 1.0) <= TOL.unit_point:
             raise InvalidParameterError(f"|tau| = {abs(self.tau)} must equal 1")
 
 
@@ -102,11 +102,11 @@ def invariance_parameter(q: ComplexPoly) -> complex:
     tau = complex(q.coeffs[0])
     # both checks looser than TOL.unit_point: an assembled Q carries the
     # rounding of the Szego recursion in every coefficient
-    if abs(abs(tau) - 1.0) > 1e-11:
+    if not abs(abs(tau) - 1.0) <= 1e-11:
         raise InvarianceError(f"|Q(0)| = {abs(tau)} is not 1; Q is not invariant")
     diff = q.coeffs - tau * np.conj(q.coeffs[::-1])
     # relative to Q's largest coefficient, for the same reason
-    if np.max(np.abs(diff)) > 1e-11 * q.max_abs_coeff():
+    if not np.max(np.abs(diff)) <= 1e-11 * q.max_abs_coeff():
         raise InvarianceError("coefficients violate Q = tau * Q*")
     return tau
 

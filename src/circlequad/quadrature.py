@@ -41,8 +41,9 @@ from .opuc import (
     schur_cohn_rows,
     wrap_theta,
 )
+from .poly import horner
 from .prescribe import _pencil_answer, tau_arcs, tau_pencil
-from .qpopuc import QpopucSpec, orthogonality_params, residual_rows, zeros_on_circle
+from .qpopuc import QpopucSpec, orthogonality_params, zeros_on_circle
 
 GREEN = "positive"
 RED_SCHUR = "inadmissible-schur"
@@ -289,7 +290,9 @@ class _Scan:
     ``tau_pencil``; at ell = 0 it is the empty pencil, P = 1 at every tau.
 
     With P = tau A + B and R_X = z X rho_{n-ell-1}, Q = R + tau R* is
-    Q = tau U + V, where U = R_A + R_B* and V = R_B + R_A*.
+    Q = tau U + V, where U = R_A + R_B* and V = R_B + R_A*. So Q is also
+    affine in tau at each prescribed node, Q(alpha_i) = tau U(alpha_i) +
+    V(alpha_i), and U and V are evaluated there once (``u_at``, ``v_at``).
 
     Malformed input (node count, n, coinciding nodes) raises; only the
     tau-free refusals of ``TauPencil.require_solvable`` make every point
@@ -305,6 +308,9 @@ class _Scan:
         r_a, r_b = (np.convolve(np.append(0.0, x), self.rho) for x in self.pencil.affine)
         self.u = r_a + np.conj(r_b[::-1])
         self.v = r_b + np.conj(r_a[::-1])
+        # U(alpha_i) and V(alpha_i): a grid row's node residual is then
+        # max_i |tau U(alpha_i) + V(alpha_i)|, with no Horner pass per row
+        self.u_at, self.v_at = horner(np.stack([self.u, self.v]), self.nodes)
         self.refused = False  # a tau-free refusal: every point is boundary
         try:
             self.pencil.require_solvable()
@@ -317,7 +323,12 @@ class _Scan:
         every ell (the coupling, the Schur-Cohn band, and the
         prescribed-node residual on a stable P), then green for a stable
         P, and the zeros of Q alone (``_root_codes``) for the rest.
-        Q = tau U + V is formed only for the rows that a check reads."""
+
+        The node residual of a row is max_i |tau U(alpha_i) + V(alpha_i)|,
+        held to ``TOL.node_residual`` times max_k |q_k|, the gate of
+        ``residual_rows``. Q = tau U + V is formed only for the rows that
+        a check reads: its coefficients for that gate's right side on a
+        stable P, and for ``_root_codes`` on the rest."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
         codes = np.full(len(tau), _BOUNDARY, dtype=np.uint8)
         if self.refused:
@@ -327,8 +338,9 @@ class _Scan:
         ok &= ~band
         if len(self.nodes):  # the prescribed-node residual, on a stable P
             rows = np.flatnonzero(ok & stable)
-            q = tau[rows, None] * self.u + self.v
-            ok[rows] = residual_rows(q, self.nodes, TOL.node_residual)[0]
+            t = tau[rows, None]
+            resid = np.abs(t * self.u_at + self.v_at).max(axis=1)
+            ok[rows] = resid <= TOL.node_residual * np.abs(t * self.u + self.v).max(axis=1)
         codes[ok & stable] = _GREEN
         rows = np.flatnonzero(ok & ~stable)
         if len(rows):

@@ -3,9 +3,9 @@ oracles of the batched code paths, the closed-form two-node tau arc, the
 least-squares oracle of a rule's weights, the (2*ell + 1)-node system in
 extended precision, the moment inner product, the Szego recursion in
 polynomial arithmetic, the allocate-per-step loops of Levinson and the
-Szego recursions, the orientation of circle triples, the
-endpoint-modified moment chain of the classical arc rules, and the
-benchmark's seeded request draws as test data.
+Szego recursions, the row-major Schur-Cohn recursion, the orientation
+of circle triples, the endpoint-modified moment chain of the classical
+arc rules, and the benchmark's seeded request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -47,10 +47,9 @@ from circlequad.prescribe import _f_values, _vandermonde
 from circlequad.quadrature import (
     GREEN,
     RED_BOUNDARY,
+    RED_SCHUR,
     RED_WEIGHTS,
-    _LABELS,
     _power_table,
-    _root_codes,
 )
 
 
@@ -139,6 +138,26 @@ def szego_eval_loop(deltas, z):
         rho = zr + d * rho_star
         rho_star = np.conj(d) * zr + rho_star
     return rho, rho_star
+
+
+def schur_cohn_rows_loop(coeffs):
+    """``opuc.schur_cohn_rows`` as it ran before its recursion went
+    degree-major: on the (batch, ell + 1) rows themselves, with a new
+    array per step. The oracle that the degree-major kernel matches to
+    the bit, kappas included."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    ell = coeffs.shape[1] - 1
+    kappas = np.empty((len(coeffs), ell), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(ell):
+            kappa = coeffs[:, :1]  # P_k(0); P_k*(0) = conj(leading) ~ 1
+            kappas[:, i] = kappa[:, 0]
+            star = np.conj(coeffs[:, ::-1])
+            coeffs = (coeffs - kappa * star)[:, 1:] / (1.0 - np.abs(kappa) ** 2)
+        mod = np.abs(kappas)
+        band = np.any(np.abs(mod - 1.0) <= TOL.disk_boundary_band, axis=1)
+        stable = np.all(mod < 1.0, axis=1)
+    return kappas, stable, band
 
 
 def same_orientation(triple_a, triple_b) -> bool:
@@ -411,4 +430,9 @@ def _classify(measure, n, ell, alphas, tau, mu, deltas) -> str:
         q = assemble(pres.spec, deltas)
     except CircleQuadError:
         return RED_BOUNDARY
-    return _LABELS[_root_codes(q.coeffs[None])[0]]
+    # Cohn's test on Q'/n, by the row-major recursion, not the library's
+    # kernel (``quadrature._root_codes``)
+    _, stable, band = schur_cohn_rows_loop(q.coeffs[None, 1:] * (np.arange(1, n + 1) / n))
+    if band[0]:
+        return RED_BOUNDARY
+    return RED_WEIGHTS if stable[0] else RED_SCHUR

@@ -1,6 +1,7 @@
 """The tau pencil and the batched scan against their per-point references."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -25,9 +26,11 @@ from circlequad import (
     zeros_on_circle,
 )
 from circlequad import prescribe, quadrature
+from circlequad.config import TOL
 from circlequad.errors import CircleQuadError, PositivityViolationError
 from circlequad.prescribe import tau_arcs
 from circlequad.opuc import TWO_PI, schur_cohn_rows
+from circlequad.qpopuc import residual_rows
 from circlequad.quadrature import (
     _BOUNDARY,
     _GREEN,
@@ -52,6 +55,7 @@ from circlequad_helpers import (
     direct_q_rows,
     elimination_pencil,
     lstsq_weights_rows,
+    schur_cohn_rows_loop,
     two_node_tau_arc,
     unit,
 )
@@ -248,6 +252,70 @@ class TestAffineQ:
         want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan.rho)
         got = tau[:, None] * scan.u + scan.v
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def residual_scans():
+    """The criterion-3 scan and the pencils of ``TestAffineQ``, those of
+    the arc with large A and B among them."""
+    yield _Scan(RS_HALF, 16, 3, paper_alphas())
+    for measure in (RS_HALF, ARC):
+        for ell in (1, 2, 3):
+            rng = np.random.default_rng(40 + ell)
+            for _ in range(5):
+                n = int(rng.integers(2 * ell + 3, 13))
+                yield _Scan(measure, n, ell, spread_nodes(rng, 2 * ell))
+
+
+class TestNodeResidual:
+    """The scan's prescribed-node residual, read off the values of U and V
+    at the nodes, against ``residual_rows``, Horner on the formed Q rows,
+    on the rows that reach the check: a valid, stable P off the band."""
+
+    @staticmethod
+    def checked_rows(scan, thetas):
+        tau = np.exp(1j * thetas)
+        p, ok = scan.pencil.rows(tau)
+        _, stable, band = schur_cohn_rows_loop(p)
+        rows = np.flatnonzero(ok & stable & ~band)
+        q = tau[rows, None] * scan.u + scan.v
+        # Q(alpha) = tau U(alpha) + V(alpha) rounds apart from Horner on Q
+        # by the rounding of both against the coefficients of U and V
+        spread = 4.0 * np.finfo(float).eps * (np.sum(np.abs(scan.u)) + np.sum(np.abs(scan.v)))
+        return rows, q, spread
+
+    def test_residuals_agree(self):
+        thetas = scan_grid(4000)
+        checked = 0
+        for scan in residual_scans():
+            rows, q, spread = self.checked_rows(scan, thetas)
+            ok, horner_resid, _ = residual_rows(q, scan.nodes, TOL.node_residual)
+            affine = np.max(np.abs(np.exp(1j * thetas[rows, None]) * scan.u_at + scan.v_at), axis=1)
+            assert np.all(np.abs(affine - horner_resid) <= spread)
+            assert np.array_equal(scan.codes(thetas)[rows] == _GREEN, ok)
+            checked += len(rows)
+        assert checked > 10000
+
+    def test_mask_at_a_biting_gate(self, monkeypatch):
+        # every checked row passes TOL.node_residual by three decades or
+        # more, so the gate is moved to the median residual ratio of each
+        # scan: about half its rows fail, and the two paths must fail the
+        # same rows, up to a row within their rounding gap of the gate
+        thetas = scan_grid(4000)
+        failed = 0
+        for scan in residual_scans():
+            rows, q, spread = self.checked_rows(scan, thetas)
+            if not len(rows):
+                continue
+            ratio = residual_rows(q, scan.nodes, 1.0)[1] / np.max(np.abs(q), axis=1)
+            gate = float(np.median(ratio))
+            ok, horner_resid, limit = residual_rows(q, scan.nodes, gate)
+            monkeypatch.setattr(quadrature, "TOL", dataclasses.replace(TOL, node_residual=gate))
+            green = scan.codes(thetas)[rows] == _GREEN
+            monkeypatch.undo()
+            moved = green != ok
+            assert np.all(np.abs(horner_resid - limit)[moved] <= spread)
+            failed += np.sum(~ok)
+        assert failed > 5000
 
 
 class TestBatchedScan:

@@ -29,6 +29,30 @@ class TestParsing:
         with pytest.raises(InvalidParameterError):
             parse_unimodular("0.6,0.7")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_angle_refused(self, text):
+        # float() reads these, and a NaN or infinite angle would wrap to 0
+        with pytest.raises(InvalidParameterError):
+            parse_angle(text)
+        with pytest.raises(InvalidParameterError):
+            parse_unimodular(text)
+
+    @pytest.mark.parametrize("text", ["nan,0", "0,nan", "inf,0", "nan,nan"])
+    def test_non_finite_pair_refused(self, text):
+        # |z| - 1 is NaN for each: the gate refuses what it cannot measure
+        with pytest.raises(InvalidParameterError):
+            parse_unimodular(text)
+
+    def test_prescribe_nan_exit_1(self, capsys):
+        code, data = run_json(
+            capsys,
+            ["rule", "--measure", "rogers-szego:q=0.5", "--n", "8", "--ell", "1",
+             "--prescribe", "nan", "pi:1/2", "--tau", "0"],
+        )
+        assert code == 1
+        assert data["condition"] == "invalid-parameter"
+        assert "not finite" in data["message"]
+
     def test_parser_subcommands(self):
         parser = build_parser()
         args = parser.parse_args(

@@ -177,3 +177,73 @@ def test_every_parameter_is_read():
                 if name not in read and name not in ("self", "cls") and not name.startswith("_")
             ]
     assert unread == []
+
+
+def _functions_with(match) -> set:
+    """module.function of every function in the library holding a node
+    for which ``match`` is true."""
+    return {
+        f"{path.stem}.{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef) and any(match(node) for node in ast.walk(fn))
+    }
+
+
+def test_one_schur_cohn_recursion():
+    # one Schur-Cohn kernel, read by the single test, the scan's two label
+    # passes and the arcs: a second caller, or a second division by
+    # 1 - |kappa|**2, would be a second recursion
+    assert _callers("schur_cohn_rows") == {
+        "opuc.schur_cohn", "quadrature._root_codes", "quadrature.codes", "prescribe.tau_arcs"
+    }
+    norm = "1.0 - np.abs(kappa) ** 2"
+
+    def divides_by_norm(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            return ast.unparse(node.right) == norm
+        return (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).split(".")[-1] == "divide"
+            and len(node.args) > 1
+            and ast.unparse(node.args[1]) == norm
+        )
+
+    assert _functions_with(divides_by_norm) == {"opuc.schur_cohn_rows"}
+
+
+def _deviation_from_one(node) -> bool:
+    """Is ``node`` abs(abs(x) - 1), the distance of |x| from 1?"""
+
+    def is_abs(call):
+        return isinstance(call, ast.Call) and ast.unparse(call.func) in ("abs", "np.abs")
+
+    if not is_abs(node) or not node.args:
+        return False
+    inner = node.args[0]
+    return (
+        isinstance(inner, ast.BinOp)
+        and isinstance(inner.op, ast.Sub)
+        and is_abs(inner.left)
+        and isinstance(inner.right, ast.Constant)
+        and inner.right.value == 1
+    )
+
+
+def test_unit_modulus_gates_refuse_nan():
+    # a gate written "deviation > tol" is False on a NaN deviation and lets
+    # the NaN through; "not (deviation <= tol)" refuses it
+    open_gates = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Compare):
+                continue
+            sides = [node.left, *node.comparators]
+            for left, op, right in zip(sides, node.ops, sides[1:]):
+                if (isinstance(op, (ast.Gt, ast.GtE)) and _deviation_from_one(left)) or (
+                    isinstance(op, (ast.Lt, ast.LtE)) and _deviation_from_one(right)
+                ):
+                    open_gates.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert open_gates == []
+    # the walk sees the gates it checks
+    assert len(_functions_with(_deviation_from_one)) >= 8

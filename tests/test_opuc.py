@@ -30,7 +30,8 @@ from circlequad.errors import (
 )
 from circlequad.measures import MeasureSpec, moments
 from circlequad.config import TOL
-from circlequad.opuc import TWO_PI, wrap_theta
+from circlequad.opuc import TWO_PI, schur_cohn_rows, wrap_theta
+from circlequad.poly import from_zeros
 
 from circlequad_helpers import (
     chain,
@@ -38,6 +39,7 @@ from circlequad_helpers import (
     inner_product,
     levinson_loop,
     rho_coeffs_loop,
+    schur_cohn_rows_loop,
     szego_eval_loop,
     szego_from_schur,
 )
@@ -95,6 +97,33 @@ class TestUnitPoint:
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(Exception):
             UnitPoint(0.0, 1.0j)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_refused(self, theta):
+        # wrap_theta maps each of these to 0, so the point 1 would stand in
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            UnitPoint.from_theta(theta)
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            UnitPoint.from_theta(np.float64(theta))
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            UnitPoint(theta, 1.0 + 0.0j)
+
+    def test_nan_point_refused(self):
+        # |z| - 1 is NaN: each unit-modulus gate refuses it
+        nan = complex("nan")
+        with pytest.raises(DomainError):
+            UnitPoint.from_complex(nan)
+        with pytest.raises(DomainError):
+            UnitPoint.from_complex(complex(math.nan, 0.0), tol=1.0)
+        with pytest.raises(DomainError):
+            UnitPoint(0.0, nan)
+        with pytest.raises(InvalidParameterError):
+            UnitPoint(math.nan, nan)
+        deltas = SchurSequence.from_params([0.3, -0.2j])
+        with pytest.raises(DomainError):
+            blaschke_eval(deltas, 3, nan)
+        with pytest.raises(DomainError):
+            blaschke_solve(deltas, 3, nan)
 
     def test_tiny_negative_angle_wraps_to_zero(self):
         # -1e-17 % (2 pi) rounds up to exactly 2 pi
@@ -508,6 +537,69 @@ class TestSchurCohn:
     def test_requires_monic(self):
         with pytest.raises(InvalidParameterError):
             schur_cohn(ComplexPoly([1.0, 2.0 + 0.5j, 3.0]))
+
+
+def rows_from_zeros(zeros) -> np.ndarray:
+    """Monic rows (batch, ell + 1), low-to-high, with the zeros (batch,
+    ell): ``from_zeros`` taken over the whole batch at once."""
+    p = np.ones((len(zeros), 1), dtype=complex)
+    for a in np.asarray(zeros).T:
+        p = np.pad(p, ((0, 0), (1, 0))) - a[:, None] * np.pad(p, ((0, 0), (0, 1)))
+    return p
+
+
+class TestSchurCohnLayout:
+    """The degree-major kernel against the row-major recursion it
+    replaced (``schur_cohn_rows_loop``), to the bit: kappas, NaN and inf
+    included, stable and band."""
+
+    @staticmethod
+    def assert_same(coeffs):
+        got, want = schur_cohn_rows(coeffs), schur_cohn_rows_loop(coeffs)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w, equal_nan=True)
+        return got
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 4000])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3, 5, 15, 31, 63])
+    def test_zeros_inside_outside_and_on_the_circle(self, ell, batch):
+        # four kinds of row, drawn in turn: every zero inside, one zero
+        # exactly on the circle, one outside, and half the zeros on it
+        rng = np.random.default_rng(1000 * ell + batch)
+        radius = rng.uniform(0.1, 0.97, size=(batch, ell))
+        kind = np.arange(batch) % 4
+        radius[kind == 1, :1] = 1.0
+        radius[kind == 2, :1] = 1.5
+        radius[kind == 3, : ell // 2 + 1] = 1.0
+        zeros = radius * np.exp(1j * rng.uniform(0.0, TWO_PI, size=(batch, ell)))
+        coeffs = rows_from_zeros(zeros)
+        assert np.allclose(coeffs[-1], from_zeros(zeros[-1]).coeffs)
+        kappas, stable, band = self.assert_same(coeffs)
+        assert kappas.shape == (batch, ell)
+        if batch == 4000 and ell:
+            assert stable[kind == 0].all() and not band[kind == 0].any()
+            assert not stable[kind == 2].any()
+            assert band[kind == 1].any() and band[kind == 3].any()
+
+    @pytest.mark.parametrize("ell", [2, 3, 5, 15, 31, 63])
+    def test_later_kappas_overflow(self, ell):
+        # with every zero on the circle, a step divides by 1 - |kappa|**2
+        # at the rounding level, and the later kappas overflow to inf and
+        # NaN: the NaN and inf come out where the row-major recursion puts
+        # them
+        rng = np.random.default_rng(ell)
+        coeffs = rows_from_zeros(np.exp(1j * rng.uniform(0.0, TWO_PI, size=(4000, ell))))
+        kappas, stable, band = self.assert_same(coeffs)
+        assert np.isnan(kappas).any() and np.isinf(kappas).any()
+        assert band.all()
+
+    def test_input_left_unchanged(self):
+        # the kernel works on its own copy, a single row included
+        for coeffs in (rows_from_zeros([[0.3, -0.5j]]), rows_from_zeros([[0.3, 2.0], [0.1j, 0.5]])):
+            before = coeffs.copy()
+            schur_cohn_rows(coeffs)
+            assert np.array_equal(coeffs, before)
 
 
 def test_chain_helper_sizes(rogers_half):

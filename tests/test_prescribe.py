@@ -645,6 +645,8 @@ class TestClassicalArc:
             classical_arc(deltas, arc, 6, "lobatto")
         with pytest.raises(InvalidParameterError):
             classical_arc(deltas, arc, 6, "lobatto", tau_hat=1.5)
+        with pytest.raises(InvalidParameterError):
+            classical_arc(deltas, arc, 6, "lobatto", tau_hat=complex("nan"))
 
 
 class TestTauForOmega:
@@ -704,6 +706,14 @@ class TestTauForOmega:
         mu, deltas = chain(lebesgue, 4, 0)
         with pytest.raises(InvalidParameterError):
             tau_for_omega(deltas, 4, 0, [], 0.5 + 0j)
+
+    @pytest.mark.parametrize("omega", [complex("nan"), complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_non_finite_omega(self, rogers_half, omega):
+        # past an open gate, a NaN omega reaches np.roots, which raises a
+        # bare LinAlgError
+        _, deltas = chain(rogers_half, 8, 1)
+        with pytest.raises(InvalidParameterError):
+            tau_for_omega(deltas, 8, 1, [unit(0.5), unit(2.2)], omega)
 
     @pytest.mark.parametrize("ell", [0, 1])
     def test_short_chain_is_invalid_parameter(self, rogers_half, ell):

@@ -44,6 +44,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError):
             QpopucSpec(5, 0, ONE, 0.5 + 0j)
 
+    @pytest.mark.parametrize("tau", [complex("nan"), complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_non_finite_tau(self, tau):
+        with pytest.raises(InvalidParameterError):
+            QpopucSpec(5, 0, ONE, tau)
+
 
 class TestAssemble:
     def test_lebesgue_closed_form(self, lebesgue):
@@ -81,6 +86,12 @@ class TestInvarianceParameter:
     def test_rejects_non_monic(self):
         with pytest.raises(InvalidParameterError):
             invariance_parameter(ComplexPoly([1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("coeffs", [[math.nan, 0.0, 1.0], [1.0, math.nan, 1.0]])
+    def test_rejects_nan(self, coeffs):
+        # a NaN Q(0), or a NaN coefficient elsewhere, fails each gate
+        with pytest.raises(InvarianceError):
+            invariance_parameter(ComplexPoly(coeffs))
 
 
 class TestOrthogonalityParams:
