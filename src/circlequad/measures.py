@@ -145,6 +145,8 @@ def load_moments(path, max_order: int | None = None) -> MomentSequence:
         ):
             raise FileFormatError(f"entry {k} is not a [re, im] pair")
         mu[k] = complex(item[0], item[1])
+    if not np.all(np.isfinite(mu)):
+        raise FileFormatError("moment file holds a non-finite entry")
     if mu[0].imag != 0 or mu[0].real <= 0:
         raise FileFormatError("mu_0 must be real and positive")
     if max_order is not None:

@@ -135,7 +135,7 @@ class MomentSequence:
             raise InvalidParameterError("empty moment sequence")
         # relative: mu_0 of a positive measure is real, up to the rounding
         # of a computed or file-read value
-        if abs(mu[0].imag) > 1e-12 * max(1.0, abs(mu[0])) or mu[0].real <= 0:
+        if not (abs(mu[0].imag) <= 1e-12 * max(1.0, abs(mu[0])) and mu[0].real > 0):
             raise NotPositiveDefiniteError(f"mu_0 = {mu[0]} must be real positive")
 
     @property
@@ -175,9 +175,9 @@ class SchurSequence:
         object.__setattr__(self, "norms", e)
         if d[0] != 1.0:
             raise InvalidParameterError("delta_0 must equal 1")
-        if np.any(np.abs(d[1:]) >= 1.0):
+        if not np.all(np.abs(d[1:]) < 1.0):
             raise InvalidParameterError("all delta_k (k >= 1) must lie in the open unit disk")
-        if len(e) != len(d) or np.any(e <= 0):
+        if len(e) != len(d) or not np.all(e > 0):
             raise InvalidParameterError("norms must be positive and match delta in length")
 
     @property
@@ -203,7 +203,7 @@ class SchurSequence:
     @staticmethod
     def from_params(params, e0: float = 1.0) -> "SchurSequence":
         params = np.asarray(params, dtype=complex)
-        if np.any(np.abs(params) >= 1.0):
+        if not np.all(np.abs(params) < 1.0):
             raise InvalidParameterError("Schur parameters must lie in the open unit disk")
         norms = e0 * np.concatenate([[1.0], np.cumprod(1.0 - np.abs(params) ** 2)])
         return SchurSequence(np.concatenate([[1.0], params]), norms)
@@ -270,7 +270,7 @@ def schur_from_moments(mu: MomentSequence, n: int) -> SchurSequence:
         den = np.dot(star[s:], mu_arr[:k])
         d = -num / den
         e_next = e * (1.0 - abs(d) ** 2)
-        if abs(d) >= 1.0 or e_next <= 0:
+        if not (abs(d) < 1.0 and e_next > 0):
             raise NotPositiveDefiniteError(
                 f"moment sequence not positive definite at order {k} (|delta| = {abs(d)})"
             )

@@ -22,6 +22,8 @@ quotient z rho_{k-1} / rho*_{k-1}.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,7 +49,7 @@ from .opuc import (
     wrap_theta,
 )
 from .poly import ComplexPoly
-from .qpopuc import QpopucSpec, assemble, residual_rows
+from .qpopuc import QpopucSpec, assemble, order_collapsed, residual_rows
 
 
 @dataclass
@@ -502,19 +504,24 @@ def tau_for_omega(
     alphas: list[UnitPoint],
     omega: complex,
 ):
-    """Invariance parameters tau realizing a target omega.
+    """Invariance parameters tau realizing a target omega, in closed form.
 
-    The 2*ell-node ``tau_pencil`` makes P(0) affine in tau, P(0) = A tau + B
-    (at ell = 0, P = 1: A = 0 and B = 1); substituting into the closed
-    form for omega yields one quadratic in tau, so there are at most two
-    solutions on the circle. A solution is returned only if its row of
-    ``TauPencil.rows`` is valid, under the gate that grows with the
-    pencil's condition number, so ``prescribe_2l`` takes every tau
-    returned past its coupling check. Returns (solutions, degenerate)
-    where degenerate means omega does not depend on tau at all (B = 0
-    with the target attained).
+    The 2*ell-node ``tau_pencil`` makes P(0) = A tau + B affine in tau (at
+    ell = 0, A = 0 and B = 1), so with delta = delta_{n-ell},
+    sigma = conj(P(0)) - conj(tau) delta = conj(tau) N for N = c + conj(B) tau,
+    c = conj(A) - delta, and omega = N / conj(N). That is the target when
+    N = t e^{i psi}, t real, psi = arg(omega)/2. N runs on the circle of
+    radius |B| about c, so with u = c e^{-i psi}, t = Re(u) + r for
+    r = +-sqrt(|B|**2 - Im(u)**2), and tau = (r - i Im(u)) e^{i psi} / conj(B),
+    unimodular by construction: two solutions, one at tangency (r = 0), or
+    none. A root with t = 0 is the order collapse sigma = 0, decided by
+    ``order_collapsed`` as in ``orthogonality_params``, and is dropped, as
+    is one whose row of ``TauPencil.rows`` is invalid, so ``prescribe_2l``
+    takes every tau returned. Returns (solutions, degenerate): degenerate
+    means B = 0, where omega = c / conj(c) at every tau, with that omega
+    within ``TOL.on_circle`` of the target, the tolerance of the input.
     """
-    if not abs(abs(omega) - 1.0) <= TOL.on_circle:
+    if not abs(abs(omega) - 1) <= TOL.on_circle:
         raise InvalidParameterError("|omega| must equal 1")
     pencil = tau_pencil(deltas, n, ell, alphas)
     if not pencil.cond <= TOL.condition_limit:
@@ -522,46 +529,23 @@ def tau_for_omega(
             f"tau-parametrized system condition {pencil.cond:.3e} exceeds limit"
         )
     delta = complex(deltas.params(n - ell)[-1])
-    a_coef, b_coef = (complex(c[0]) for c in pencil.affine)
-
-    d_big = np.conj(delta)
-    scale = max(abs(a_coef), abs(b_coef), 1.0)
-    # this closed form's own gates, each just above its step's rounding: B = 0
-    # (1e-12), a root on the circle (1e-10), omega attained, roots merged (1e-9)
-    if abs(b_coef) <= 1e-12 * scale:
-        # P(0) = A tau: omega is the same for every tau
-        realized = _omega_from_p0(a_coef, b_coef, 1.0 + 0.0j, delta)
-        attained = realized is not None and abs(realized - omega) <= 1e-9
-        return [], attained
-
-    coeffs = np.array(
-        [
-            np.conj(b_coef),
-            (np.conj(a_coef) - np.conj(d_big)) - omega * (a_coef - d_big),
-            -omega * b_coef,
-        ]
-    )
-    roots = np.roots(coeffs[np.argmax(np.abs(coeffs) > 0) :]) if np.any(coeffs != 0) else []
-    out = []
-    for r in np.atleast_1d(roots):
-        if not abs(abs(r) - 1.0) <= 1e-10:  # a root on the circle
+    a, b = (complex(x[0]) for x in pencil.affine)
+    c = a.conjugate() - delta
+    if b == 0:  # N = c at every tau
+        collapsed = order_collapsed(abs(c), delta)
+        return [], not collapsed and abs(c / c.conjugate() - omega) <= TOL.on_circle
+    rot = cmath.sqrt(omega / abs(omega))  # e^{i psi}, up to a sign t absorbs
+    u = c * rot.conjugate()
+    disc = (abs(b) - abs(u.imag)) * (abs(b) + abs(u.imag))
+    if not disc >= 0:
+        return [], False
+    r = math.sqrt(disc)
+    taus = []
+    for root in (r, -r) if r else (r,):
+        if order_collapsed(abs(u.real + root), delta):
             continue
-        tau = complex(r / abs(r))
-        realized = _omega_from_p0(a_coef, b_coef, tau, delta)
-        if realized is not None and abs(realized - omega) <= 1e-9:  # omega attained
-            out.append(tau)
-    unique = []
-    for tau in out:
-        if all(abs(tau - u) > 1e-9 for u in unique):  # merge double roots
-            unique.append(tau)
-    # one row at a time, as ``prescribe_2l`` checks it
-    return [tau for tau in unique[:2] if pencil.rows([tau])[1][0]], False
-
-
-def _omega_from_p0(a_coef, b_coef, tau, delta):
-    p0 = a_coef * tau + b_coef
-    den = np.conj(tau) * p0 - np.conj(delta)
-    # omega is undefined (order collapse) where the denominator is rounding
-    if abs(den) < 1e-13:
-        return None
-    return complex((tau * np.conj(p0) - delta) / den)
+        tau = complex(root, -u.imag) * rot / b.conjugate()
+        tau /= abs(tau)
+        if pencil.rows([tau])[1][0]:  # one row at a time, as ``prescribe_2l`` checks it
+            taus.append(tau)
+    return taus, False

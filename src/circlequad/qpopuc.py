@@ -111,6 +111,11 @@ def invariance_parameter(q: ComplexPoly) -> complex:
     return tau
 
 
+def order_collapsed(sigma_abs: float, delta: complex) -> bool:
+    """Is |sigma| rounding, so that the order collapses? The one such test."""
+    return sigma_abs <= TOL.sigma_collapse * (1.0 + abs(delta))
+
+
 def orthogonality_params(
     spec: QpopucSpec, deltas: SchurSequence
 ) -> OrthogonalityParams:
@@ -118,12 +123,14 @@ def orthogonality_params(
 
     tau_tilde = tau * sigma / conj(sigma) makes Q orthogonal to
     z**(n-ell) - tau_tilde z**ell; omega = tau * tau_tilde extends the
-    exactness space of the induced quadrature rule.
+    exactness space of the induced quadrature rule. On a pencil
+    P(0) = tau A + B, sigma = conj(tau) N, so |sigma| = |N| and
+    omega = N / conj(N) (``tau_for_omega``).
     """
     delta = complex(deltas.delta[spec.n - spec.ell])
     p0 = complex(spec.P.coeffs[0])
     sigma = np.conj(p0) - np.conj(spec.tau) * delta
-    if abs(sigma) <= TOL.sigma_collapse * (1.0 + abs(delta)):
+    if order_collapsed(abs(sigma), delta):
         return OrthogonalityParams(sigma=complex(sigma), collapsed=True)
     tau_tilde = spec.tau * sigma / np.conj(sigma)
     omega = spec.tau * tau_tilde

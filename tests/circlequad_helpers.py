@@ -326,13 +326,63 @@ def odd_system(deltas, n, ell, alphas) -> tuple:
     to complex.
     """
     z = np.array([a.z for a in alphas], dtype=np.clongdouble)
-    rho, star = np.ones_like(z), np.ones_like(z)
-    for d in deltas.params(n - ell - 1):
-        rho, star = z * rho + d * star, np.conj(d) * z * rho + star
-    f = np.conj(z * rho / star)
+    f = extended_f_values(deltas, n - ell - 1, z)
     v = z[:, None] ** np.arange(ell + 1)
     x = solve_extended(np.hstack([v[:, :ell], f[:, None] * v]), -(z**ell))
     return np.append(x[:ell], 1).astype(complex), complex(x[ell] / abs(x[ell]))
+
+
+def extended_f_values(deltas, k: int, z) -> np.ndarray:
+    """f = conj(z rho_k / rho*_k) at the np.clongdouble points z, from the
+    plain Szego recursion in that precision."""
+    rho, star = np.ones_like(z), np.ones_like(z)
+    for d in deltas.params(k):
+        rho, star = z * rho + d * star, np.conj(d) * z * rho + star
+    return np.conj(z * rho / star)
+
+
+def extended_omega_pencil(deltas, n, ell, alphas) -> tuple:
+    """(A, B, delta) in np.clongdouble, with P(0) = tau A + B on the
+    2*ell-node pencil and delta = delta_{n-ell}: the coupled system of
+    ``tau_pencil`` solved by ``solve_extended`` on f-values from
+    ``extended_f_values``. The empty pencil of ell = 0 is P = 1."""
+    z = np.array([a.z for a in alphas], dtype=np.clongdouble)
+    a, b = np.clongdouble(0), np.clongdouble(1)
+    if ell:
+        f = extended_f_values(deltas, n - ell - 1, z)
+        v = z[:, None] ** np.arange(ell)
+        d = z**ell
+        m = np.hstack([v, (f * d)[:, None] * np.conj(v)])
+        a, b = solve_extended(m, -f)[0], solve_extended(m, -d)[0]
+    return a, b, np.clongdouble(deltas.params(n - ell)[-1])
+
+
+def extended_omega(pencil, tau) -> complex:
+    """omega = tau tau_tilde = tau**2 sigma / conj(sigma), with
+    sigma = conj(P(0)) - conj(tau) delta, on an ``extended_omega_pencil``
+    at tau, in np.clongdouble: the definition of ``orthogonality_params``,
+    not the N / conj(N) form of ``tau_for_omega``."""
+    a, b, delta = pencil
+    tau = np.clongdouble(tau)
+    sigma = np.conj(tau * a + b) - np.conj(tau) * delta
+    return tau * tau * sigma / np.conj(sigma)
+
+
+def extended_tau_for_omega(pencil, omega) -> list:
+    """Every unimodular tau with omega(tau) = omega on an
+    ``extended_omega_pencil``, by the closed form of ``tau_for_omega`` in
+    np.clongdouble, with no collapse or coupling check: N = c + conj(B) tau,
+    c = conj(A) - delta, on the line through 0 at half of arg(omega)."""
+    a, b, delta = pencil
+    c = np.conj(a) - delta
+    rot = np.sqrt(np.clongdouble(omega) / abs(omega))
+    u = c * np.conj(rot)
+    disc = (abs(b) - abs(u.imag)) * (abs(b) + abs(u.imag))
+    if disc < 0:
+        return []
+    r = np.sqrt(disc)
+    taus = [(root - 1j * u.imag) * rot / np.conj(b) for root in ((r, -r) if r else (r,))]
+    return [t / abs(t) for t in taus]
 
 
 def direct_q_rows(p, tau, rho) -> np.ndarray:

@@ -247,3 +247,40 @@ def test_unit_modulus_gates_refuse_nan():
     assert open_gates == []
     # the walk sees the gates it checks
     assert len(_functions_with(_deviation_from_one)) >= 8
+
+
+def _is_root_finder(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    name = ast.unparse(node.func)
+    return name == "np.roots" or name.startswith("np.linalg.eig") or name.endswith(".roots")
+
+
+def test_tau_for_omega_in_closed_form():
+    # omega = N / conj(N) with N affine in tau: no root finder, no second
+    # omega formula, and no fixed gate of its own
+    assert "prescribe.tau_for_omega" not in _functions_with(_is_root_finder)
+    assert "prescribe.tau_for_omega" not in _functions_with(
+        lambda node: isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+    )
+    assert "_omega_from_p0" not in "".join(p.read_text() for p in SRC.glob("*.py"))
+
+
+def test_one_order_collapse_test():
+    # sigma = 0 is decided in one place: tau_for_omega's t and
+    # orthogonality_params' sigma meet the same bound
+    reads = _functions_with(lambda node: ast.unparse(node) == "TOL.sigma_collapse")
+    assert reads == {"qpopuc.order_collapsed"}
+    assert _callers("order_collapsed") == {"qpopuc.orthogonality_params", "prescribe.tau_for_omega"}
+
+
+def test_roots_only_for_arcs_and_polynomials():
+    # np.roots finds the boundaries of tau_arcs and the zeros of a
+    # ComplexPoly (``poly.roots``); a further call would be a second root
+    # finder
+    def calls_roots(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func) == "np.roots"
+
+    assert _functions_with(calls_roots) == {"prescribe.tau_arcs", "poly.roots"}
+    nodes = [node for path in SRC.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))]
+    assert sum(map(calls_roots, nodes)) == 2

@@ -159,6 +159,16 @@ class TestMomentFiles:
         with pytest.raises(FileFormatError):
             load_moments(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("text", [
+        "[[NaN, 0], [0.1, 0]]", "[[1, 0], [0.1, NaN]]", "[[1, 0], [Infinity, 0]]",
+    ])
+    def test_non_finite_entry_refused(self, tmp_path, text):
+        # Python's json reads NaN and Infinity as floats
+        path = tmp_path / "mu.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="non-finite"):
+            load_moments(path)
+
     def test_max_order_enforced(self, tmp_path):
         path = tmp_path / "mu.json"
         path.write_text(json.dumps([[1.0, 0.0], [0.1, 0.0]]))

@@ -199,6 +199,12 @@ class TestMomentSequence:
         with pytest.raises(NotPositiveDefiniteError):
             MomentSequence(np.array([1.0 + 1.0j]))
 
+    @pytest.mark.parametrize("mu0", [math.nan, complex(1.0, math.nan), complex(math.nan, 0.0)])
+    def test_nan_mu0_refused(self, mu0):
+        # "real <= 0" and "|imag| > tol" are both False on NaN
+        with pytest.raises(NotPositiveDefiniteError):
+            MomentSequence(np.array([mu0]))
+
 
 class TestSchurSequence:
     def test_from_params_norms(self):
@@ -208,6 +214,19 @@ class TestSchurSequence:
     def test_disk_constraint(self):
         with pytest.raises(InvalidParameterError):
             SchurSequence.from_params([1.0])
+
+    @pytest.mark.parametrize("params", [[math.nan], [0.5, complex(0.0, math.nan)]])
+    def test_nan_params_refused(self, params):
+        # "|delta| >= 1" is False on NaN
+        with pytest.raises(InvalidParameterError):
+            SchurSequence.from_params(params)
+        with pytest.raises(InvalidParameterError):
+            SchurSequence(np.concatenate([[1.0], params]), np.ones(len(params) + 1))
+
+    def test_nan_norms_refused(self):
+        # "E <= 0" is False on NaN
+        with pytest.raises(InvalidParameterError):
+            SchurSequence(np.array([1.0, 0.5]), np.array([1.0, math.nan]))
 
     def test_rho_coeffs_match_recursion(self):
         rng = np.random.default_rng(11)
@@ -339,6 +358,15 @@ class TestSchurFromMoments:
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             schur_from_moments(MomentSequence(np.array([1.0, 1.2])), 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_nan_moment_refused(self, k):
+        # a NaN moment makes delta_k NaN, which "|delta| >= 1 or E <= 0"
+        # let through as a NaN chain
+        mu = np.array([1.0, 0.1, 0.1], dtype=complex)
+        mu[k] = math.nan
+        with pytest.raises(NotPositiveDefiniteError, match=f"at order {k}"):
+            schur_from_moments(MomentSequence(mu), 2)
 
     def test_orthogonality_against_discrete_oracle(self, rng):
         mu = discrete_measure_moments(rng)

@@ -44,6 +44,9 @@ from circlequad.qpopuc import orthogonality_params, residual_rows
 from circlequad_helpers import (
     chain,
     elimination_pencil,
+    extended_omega,
+    extended_omega_pencil,
+    extended_tau_for_omega,
     lstsq_weights,
     modified_chain_nodes,
     odd_system,
@@ -702,6 +705,123 @@ class TestTauForOmega:
         assert not res.admissible
         assert abs(orthogonality_params(res.spec, deltas).omega - omega) < 1e-12
 
+    # the omega requests of the benchmark's draws (seed, request) that
+    # return a tau past the fixed ``TOL.coupling`` gate, admitted by the gate
+    # that grows with the condition number (cond 2.1e6 to 3.0e10)
+    ILL_CONDITIONED = [
+        (7, 46), (7, 756), (7, 1529), (7, 1550), (7, 1551), (201, 146), (201, 242),
+        (201, 784), (201, 1038), (201, 1370), (202, 381), (202, 582), (202, 738),
+        (202, 1589), (203, 491), (203, 519), (203, 892), (204, 610), (204, 1086),
+        (204, 1410), (204, 1513), (204, 1720), (204, 1785), (205, 326), (205, 466),
+        (205, 908), (205, 1377), (205, 1529), (205, 1571), (205, 1999), (206, 254),
+        (206, 1134), (206, 1914), (207, 71), (207, 377), (207, 545), (208, 1012),
+        (208, 1323), (209, 0), (209, 6), (209, 272), (209, 436), (209, 783),
+        (209, 1226), (209, 1572), (209, 1605), (210, 4), (210, 699), (210, 701),
+        (210, 913), (210, 999), (210, 1428), (210, 1462), (210, 1650),
+    ]
+
+    def test_extended_precision_oracle(self):
+        # the pencil and the closed form redone in np.clongdouble: every tau
+        # returned lies within cond * eps of the oracle's, and realises omega
+        # on the oracle's pencil within cond * eps (0.24 and 0.46 of it at
+        # most here); seed 205 request 908 (cond 3.0e10) misses by 2.4e-7
+        work = perfbench_workloads()
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for seed in sorted({seed for seed, _ in self.ILL_CONDITIONED}):
+            wanted = {i for s, i in self.ILL_CONDITIONED if s == seed}
+            for i, inp in enumerate(itertools.islice(work.mix_inputs(seed), max(wanted) + 1)):
+                if i not in wanted:
+                    continue
+                n, ell = inp["n"], inp["ell"]
+                _, deltas = chain(work.mix_measure(circlequad, inp["measure"]), n, ell)
+                alphas = [unit(t) for t in inp["nodes"]]
+                omega = cmath.exp(1j * inp["angle"])
+                sols, degenerate = tau_for_omega(deltas, n, ell, alphas, omega)
+                pencil = tau_pencil(deltas, n, ell, alphas)
+                ext = extended_omega_pencil(deltas, n, ell, alphas)
+                ext_sols = extended_tau_for_omega(ext, omega)
+                assert not degenerate and len(sols) == len(ext_sols) == 2, (seed, i)
+                bound = pencil.cond * eps
+                for tau in sols:
+                    assert min(abs(complex(tau - t)) for t in ext_sols) <= bound
+                    miss = abs(complex(extended_omega(ext, tau) - omega))
+                    assert miss <= bound
+                    worst = max(worst, miss)
+                # each request has a tau past the fixed gate
+                tau = np.array(sols)[:, None]
+                p = tau * pencil.a + pencil.b
+                defect = np.abs(pencil.a_conj + np.conj(tau) * pencil.b_conj - np.conj(p))
+                assert np.any(np.max(defect, axis=1) > TOL.coupling * (1.0 + np.max(np.abs(p), axis=1)))
+        assert 2e-7 < worst < 3e-7
+
+    @staticmethod
+    def _pencil(monkeypatch, a, b, delta, defect=0.0):
+        """``tau_for_omega`` on the two-node pencil P(0) = tau a + b, whose
+        conj(p) block misses conj(p) by ``defect``, and a chain (n = 3,
+        ell = 1) whose delta_2 is delta."""
+        pencil = prescribe.TauPencil(
+            1, np.array([1.0, 1.0j]), np.ones(2, dtype=complex), np.array([a]), np.array([b]),
+            np.conj([b]) + defect, np.conj([a]), 1.0,
+        )
+        monkeypatch.setattr(prescribe, "tau_pencil", lambda *_: pencil)
+        deltas = circlequad.SchurSequence.from_params([0.0, delta])
+
+        def solve(omega):
+            sols, degenerate = tau_for_omega(deltas, 3, 1, [unit(0.0), unit(math.pi / 2)], omega)
+            for tau in sols:  # each realises omega on the same rule
+                spec = QpopucSpec(3, 1, ComplexPoly(pencil.rows([tau])[0][0]), tau)
+                params = orthogonality_params(spec, deltas)
+                assert not params.collapsed and abs(params.omega - omega) <= 1e-9
+            return sols, degenerate
+
+        return pencil, deltas, solve
+
+    def test_tau_independent_omega(self, monkeypatch):
+        # B = 0: N = c = conj(A) - delta at every tau, so omega = c / conj(c)
+        _, _, solve = self._pencil(monkeypatch, 0.3 - 0.4j, 0.0, 0.2j)
+        c = 0.3 + 0.4j - 0.2j
+        assert solve(c / c.conjugate()) == ([], True)
+        assert solve(c / c.conjugate() * cmath.exp(1e-6j)) == ([], False)
+        assert solve(-c / c.conjugate()) == ([], False)
+
+    def test_tau_independent_collapse(self, monkeypatch):
+        # B = 0 and conj(A) = delta: sigma = 0 at every tau, no omega at all
+        _, _, solve = self._pencil(monkeypatch, -0.2j, 0.0, 0.2j)
+        assert solve(1.0 + 0j) == ([], False)
+        assert solve(-1.0 + 0j) == ([], False)
+
+    def test_tangency(self, monkeypatch):
+        # a real pencil (A = 3, B = 1/2) on delta = -i/2: N runs on the
+        # circle of radius 1/2 about c = 3 + i/2, which the line N real
+        # (omega = 1) touches at N = 3, tau = -i
+        _, _, solve = self._pencil(monkeypatch, 3.0, 0.5, -0.5j)
+        assert solve(1.0 + 0j) == ([-1j], False)
+        inside, outside = solve(cmath.exp(2e-3j)), solve(cmath.exp(-2e-3j))
+        assert len(inside[0]) == 2 and not inside[1]
+        assert outside == ([], False)
+        assert max(abs(tau + 1j) for tau in inside[0]) < 0.2
+
+    def test_coupling_miss_dropped(self, monkeypatch):
+        # the two roots inside the tangency above, on a solve whose coupling
+        # misses by 1e-6, far past the gate of a cond-1 pencil
+        _, _, solve = self._pencil(monkeypatch, 3.0, 0.5, -0.5j, defect=1e-6)
+        assert solve(cmath.exp(2e-3j)) == ([], False)
+
+    @pytest.mark.parametrize("gap, count", [(0.0, 1), (1e-13, 1), (1e-6, 2)])
+    def test_order_collapse_root_dropped(self, monkeypatch, gap, count):
+        # c = 1, |B| = 1 + gap and omega = e^{0.6i}: the roots are
+        # t = 2 cos(0.3), at tau = omega, and t = -gap / cos(0.3) to first
+        # order, at tau near -1, where P(0) = gap; the second is the order
+        # collapse sigma = 0 while |t| is within the ``TOL.sigma_collapse``
+        # bound, the test ``orthogonality_params`` makes on sigma
+        pencil, deltas, solve = self._pencil(monkeypatch, 1.0, 1.0 + gap, 0.0)
+        sols, degenerate = solve(cmath.exp(0.6j))
+        assert len(sols) == count and not degenerate
+        assert min(abs(tau - cmath.exp(0.6j)) for tau in sols) <= gap + 1e-15
+        spec = QpopucSpec(3, 1, ComplexPoly(pencil.rows([-1.0])[0][0]), -1.0)
+        assert orthogonality_params(spec, deltas).collapsed == (count == 1)
+
     def test_omega_validated(self, lebesgue):
         mu, deltas = chain(lebesgue, 4, 0)
         with pytest.raises(InvalidParameterError):
@@ -709,8 +829,8 @@ class TestTauForOmega:
 
     @pytest.mark.parametrize("omega", [complex("nan"), complex(math.nan, 0.0), complex(math.inf, 0.0)])
     def test_non_finite_omega(self, rogers_half, omega):
-        # past an open gate, a NaN omega reaches np.roots, which raises a
-        # bare LinAlgError
+        # past an open gate, a NaN omega would reach the closed form, whose
+        # NaN taus only the coupling check would then drop
         _, deltas = chain(rogers_half, 8, 1)
         with pytest.raises(InvalidParameterError):
             tau_for_omega(deltas, 8, 1, [unit(0.5), unit(2.2)], omega)
