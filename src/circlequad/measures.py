@@ -141,7 +141,8 @@ def load_moments(path, max_order: int | None = None) -> MomentSequence:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(x, (int, float)) for x in item)
+            # JSON true and false load as bool, a subclass of int
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
         ):
             raise FileFormatError(f"entry {k} is not a [re, im] pair")
         mu[k] = complex(item[0], item[1])

@@ -152,13 +152,30 @@ def modified_schur(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
     parameters tau * conj(kappa_j) (kappa_j from the Schur-Cohn
     intermediates of P, in order j = ell..1), so that
     Q = z rho~_{n-1} + tau rho~*_{n-1} for the modified chain rho~.
-    The identity is spot-checked at 32 circle points.
+    Besides the round trip of ``_modified_chain``, the identity is
+    spot-checked at 32 circle points against the assembled Q.
     """
-    return _modified_chain(spec, deltas, assemble(spec, deltas))
+    modified = _modified_chain(spec, deltas)
+    q = assemble(spec, deltas)
+    z = _spot_points()
+    rho, rho_star = szego_eval(modified.params(), z)
+    dev = np.max(np.abs(q(z) - (z * rho + spec.tau * rho_star)))
+    if not dev <= TOL.representation * q.max_abs_coeff():
+        raise InternalConsistencyError(f"modified-chain representation deviates by {dev:.3e}")
+    return modified
 
 
-def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> SchurSequence:
-    """``modified_schur`` with Q = ``assemble(spec, deltas)`` given."""
+def _modified_chain(spec: QpopucSpec, deltas: SchurSequence) -> SchurSequence:
+    """The chain of ``modified_schur``, its tail certified against P.
+
+    P_k = z P_{k-1} + kappa_k P*_{k-1} inverts the Schur-Cohn step, so
+    P is the degree-ell polynomial of the chain kappa_1..kappa_ell. That
+    chain is read back from the tail the modified chain holds, as
+    kappa_j = conj(tail_j / tau) in ascending order, and its polynomial,
+    by the one coefficient step (``rho_coeffs``), must match P
+    coefficient by coefficient within TOL.representation times P's
+    largest coefficient. At ell = 0 both are the constant 1.
+    """
     sc = schur_cohn(spec.P)
     if not sc.stable:
         raise NotRepresentableError(
@@ -166,13 +183,13 @@ def _modified_chain(spec: QpopucSpec, deltas: SchurSequence, q: ComplexPoly) -> 
             f"(worst Schur-Cohn parameter {sc.worst:.6f}); no equivalent "
             "reflection-coefficient chain exists"
         )
-    combined = np.append(deltas.params(spec.n - spec.ell - 1), spec.tau * np.conj(sc.params))
+    m = spec.n - spec.ell - 1
+    combined = np.append(deltas.params(m), spec.tau * np.conj(sc.params))
     modified = SchurSequence.from_params(combined, e0=float(deltas.norms[0]))
-    z = _spot_points()
-    rho, rho_star = szego_eval(combined, z)
-    dev = np.max(np.abs(q(z) - (z * rho + spec.tau * rho_star)))
-    if not dev <= TOL.representation * q.max_abs_coeff():
-        raise InternalConsistencyError(f"modified-chain representation deviates by {dev:.3e}")
+    kappa = np.conj(modified.delta[: m : -1] / spec.tau)
+    dev = np.max(np.abs(SchurSequence.from_params(kappa).rho_coeffs(spec.ell) - spec.P.coeffs))
+    if not dev <= TOL.representation * spec.P.max_abs_coeff():
+        raise InternalConsistencyError(f"modified-chain tail misses P by {dev:.3e}")
     return modified
 
 
@@ -186,14 +203,8 @@ def zeros_on_circle(spec: QpopucSpec, deltas: SchurSequence) -> UnitPoints:
     phase of F~_n split at ceil(n/2), as for any chain, solves it by
     Newton steps and certifies it. Its node set carries the Christoffel
     numbers of the modified chain as ``weights``, which are passed on.
-    The nodal residual |Q(z)| is then checked against the directly
-    assembled Q.
+    Q itself is never assembled: the chain's tail is certified against P
+    (``_modified_chain``), and its head against the moments by
+    ``quadrature.weights``.
     """
-    q = assemble(spec, deltas)
-    pts = blaschke_solve(_modified_chain(spec, deltas, q), spec.n, -spec.tau)
-    ok, resid, _ = residual_rows(q.coeffs[None], pts.z, TOL.node_residual)
-    if not ok[0]:
-        raise InternalConsistencyError(
-            f"zero residual {resid[0]:.3e} exceeds tolerance"
-        )
-    return pts
+    return blaschke_solve(_modified_chain(spec, deltas), spec.n, -spec.tau)

@@ -5,8 +5,12 @@ A rule {(z_s, lambda_s)} built from an (n, ell) spec integrates all
 Laurent monomials z**k, |k| <= m = n - ell - 1, exactly, plus the single
 extra element z**(m+1) - omega * z**-(m+1). The weights come with the
 nodes from the node solve, as the Christoffel numbers of the modified
-chain; their moment residual over |k| <= m is the certificate that the
-nodal polynomial really was quasi-paraorthogonal for the measure.
+chain. Each claim of a rule is certified once, and the nodal polynomial Q
+is never assembled: the chain's synthetic tail against P (its round trip
+in ``qpopuc._modified_chain``), the nodes against the chain
+(``blaschke_solve``), and the rule against the moments over |k| <= m and
+its omega pair (``weights``); that the prescribed nodes are zeros of Q is
+the prescription's own check.
 """
 
 from __future__ import annotations
@@ -147,11 +151,13 @@ def _power_table(z, order: int) -> np.ndarray:
     return table
 
 
-def weights(nodes: UnitPoints, mu: MomentSequence, m: int) -> np.ndarray:
+def weights(nodes: UnitPoints, mu: MomentSequence, m: int, omega: complex | None) -> np.ndarray:
     """The weights step of ``build_rule``, and the one gate on a rule's
     weights: the Christoffel numbers that ``blaschke_solve`` left on
     ``nodes``, accepted when they match every moment mu_k, |k| <= m,
-    within TOL.weight_residual * mu_0, are finite and > 0, and sum to
+    within TOL.weight_residual * mu_0, integrate the omega pair
+    z**(m+1) - omega z**-(m+1) within the same gate (skipped when
+    ``omega`` is None, a collapsed order), are finite and > 0, and sum to
     mu_0 within TOL.weight_sum * mu_0, checked in that order.
 
     They make the modified chain's Szego rule, exact for mu on |k| <= m
@@ -163,18 +169,28 @@ def weights(nodes: UnitPoints, mu: MomentSequence, m: int) -> np.ndarray:
     circle, so a computed weight can fail positivity only by underflowing
     to 0 or by not being finite; there is no floor above 0.
     """
-    if mu.order < m:
-        raise InvalidParameterError(f"need moments to order {m}, have {mu.order}")
+    top = m if omega is None else m + 1
+    if mu.order < top:
+        raise InvalidParameterError(f"need moments to order {top}, have {mu.order}")
     lam = nodes.weights
     mu0 = float(mu.get(0).real)
+    tol = TOL.weight_residual * mu0
     # for real weights the sums over z**-k are the conjugates
-    resid = np.max(np.abs(_power_table(nodes.z, m) @ lam - mu.mu[: m + 1]))
-    if not resid <= TOL.weight_residual * mu0:
+    sums = _power_table(nodes.z, top) @ lam
+    resid = np.max(np.abs(sums[: m + 1] - mu.mu[: m + 1]))
+    if not resid <= tol:
         raise NodesNotQuadratureError(
             f"moment-matching residual {resid:.3e} exceeds "
-            f"{TOL.weight_residual * mu0:.1e}; the nodes are not the zeros of a "
+            f"{tol:.1e}; the nodes are not the zeros of a "
             "quasi-paraorthogonal polynomial for this measure"
         )
+    if omega is not None:
+        pair = sums[top] - omega * np.conj(sums[top]) - (mu.get(top) - omega * mu.get(-top))
+        if not abs(pair) <= tol:
+            raise NodesNotQuadratureError(
+                f"omega-pair residual {abs(pair):.3e} exceeds {tol:.1e}; the rule "
+                f"is not exact on z**{top} - omega z**-{top}"
+            )
     if not (np.all(lam > 0.0) and np.all(np.isfinite(lam))):
         raise PositivityViolationError(
             f"minimum weight {np.min(lam):.3e} is not positive and finite",
@@ -194,26 +210,28 @@ def build_rule(
     """Full positive rule for an admissible spec.
 
     Nodes and weights come from one node solve (``zeros_on_circle``), and
-    ``weights`` gates the weights; a positivity refusal gains the spec's
-    tau in its diagnostics. The moments and reflection coefficients of
-    ``moment_chain`` may be passed, together, to avoid recomputing them
-    for every rule.
+    ``weights`` gates the weights, omega pair included, so that each claim
+    is certified once and no Q is assembled; a positivity refusal gains
+    the spec's tau in its diagnostics. The moments and reflection
+    coefficients of ``moment_chain`` may be passed, together, to avoid
+    recomputing them for every rule.
     """
     m = spec.n - spec.ell - 1
     if mu is None or deltas is None:
         mu, deltas = moment_chain(measure, spec.n, spec.ell)
     nodes = zeros_on_circle(spec, deltas)
+    params = orthogonality_params(spec, deltas)
+    omega = None if params.collapsed else params.omega
     try:
-        lam = weights(nodes, mu, m)
+        lam = weights(nodes, mu, m, omega)
     except PositivityViolationError as exc:
         exc.diagnostics["tau"] = spec.tau
         raise
-    params = orthogonality_params(spec, deltas)
     return QuadRule(
         nodes=nodes,
         weights=lam,
         m=m,
-        omega=None if params.collapsed else params.omega,
+        omega=omega,
         measure=measure,
         n=spec.n,
         ell=spec.ell,

@@ -5,7 +5,8 @@ extended precision, the moment inner product, the Szego recursion in
 polynomial arithmetic, the allocate-per-step loops of Levinson and the
 Szego recursions, the row-major Schur-Cohn recursion, the orientation
 of circle triples, the endpoint-modified moment chain of the classical
-arc rules, and the benchmark's seeded request draws as test data.
+arc rules, the rule path's node solve with its assembled-Q certificates,
+and the benchmark's seeded request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -29,6 +30,7 @@ from circlequad import (
     blaschke_eval,
     blaschke_solve,
     build_rule,
+    modified_schur,
     moment_chain,
     prescribe_2l,
     schur_from_moments,
@@ -44,6 +46,7 @@ from circlequad.errors import (
 from circlequad.measures import in_open_arc
 from circlequad.opuc import points_z
 from circlequad.prescribe import _f_values, _vandermonde
+from circlequad.qpopuc import residual_rows
 from circlequad.quadrature import (
     GREEN,
     RED_BOUNDARY,
@@ -211,6 +214,20 @@ def modified_chain_nodes(mu, arc, n: int, tau_hat=None, alpha=None) -> list:
     if alpha is not None:
         tau_hat = -blaschke_eval(hat, n - 2, alpha.z)
     return [arc.a, arc.b, *blaschke_solve(hat, n - 2, -tau_hat)]
+
+
+def assembled_zeros(spec, deltas):
+    """The node solve as ``zeros_on_circle`` made it while it assembled Q:
+    the modified chain, spot-checked against the assembled Q at 32 points
+    (``modified_schur``), solved, and then the nodal residual of that Q at
+    every solved node, within TOL.node_residual times its largest
+    coefficient. The oracle of the rule path, which assembles no Q.
+    Returns the nodes and their residual over its limit; a spot check out
+    of its gate raises InternalConsistencyError."""
+    q = assemble(spec, deltas)
+    pts = blaschke_solve(modified_schur(spec, deltas), spec.n, -spec.tau)
+    _, resid, limit = residual_rows(q.coeffs[None], pts.z, TOL.node_residual)
+    return pts, float(resid[0] / limit[0])
 
 
 def lstsq_weights_rows(z, mu_arr, mu0: float):

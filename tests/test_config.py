@@ -149,6 +149,18 @@ def test_one_chain_and_one_node_solve():
     assert _callers("blaschke_solve") == {"qpopuc.zeros_on_circle"}
 
 
+def test_rule_path_assembles_no_q():
+    # one certificate per claim: a rule's nodes are certified on the
+    # modified chain, its tail against P and its head against the moments,
+    # so Q is assembled only where a check reads it, criterion 7's
+    # ``modified_schur`` and the prescribed-node residual
+    assert _callers("assemble") == {"qpopuc.modified_schur", "prescribe._check_residual"}
+    assert _functions_with(
+        lambda node: isinstance(node, ast.Name) and node.id == "_spot_points"
+    ) == {"qpopuc.modified_schur"}
+    assert _callers("residual_rows") == {"prescribe._check_residual"}
+
+
 def test_one_coefficient_step():
     # Levinson runs on the shared Szego step: a third caller, or a second
     # copy of the step, would be a second coefficient recursion

@@ -169,6 +169,14 @@ class TestMomentFiles:
         with pytest.raises(FileFormatError, match="non-finite"):
             load_moments(path)
 
+    @pytest.mark.parametrize("text", ["[[true, false], [0.1, 0]]", "[[1, 0], [0.1, true]]"])
+    def test_boolean_entry_refused(self, tmp_path, text):
+        # Python's json reads true and false as bool, which is an int
+        path = tmp_path / "mu.json"
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="entry"):
+            load_moments(path)
+
     def test_max_order_enforced(self, tmp_path):
         path = tmp_path / "mu.json"
         path.write_text(json.dumps([[1.0, 0.0], [0.1, 0.0]]))

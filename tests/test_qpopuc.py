@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,23 +8,30 @@ import pytest
 from circlequad import (
     ComplexPoly,
     MeasureSpec,
+    MomentSequence,
     QpopucSpec,
     SchurSequence,
     assemble,
     blaschke_solve,
+    build_rule,
     from_zeros,
     invariance_parameter,
     modified_schur,
     orthogonality_params,
+    verify_exactness,
     zeros_on_circle,
 )
+from circlequad import quadrature
 from circlequad.errors import (
+    InternalConsistencyError,
     InvalidParameterError,
     InvarianceError,
+    NodesNotQuadratureError,
     NotRepresentableError,
 )
 from circlequad.opuc import TWO_PI, wrap_theta
 from circlequad.poly import ONE
+from circlequad.quadrature import weights
 
 from circlequad_helpers import chain, inner_product, random_tau
 
@@ -206,3 +214,112 @@ class TestZerosOnCircle:
                     z -= np.polyval(q, z) / np.polyval(np.polyder(q), z)
                 expected = np.sort(wrap_theta(np.angle(z.astype(complex))))
                 assert np.max(np.abs(np.angle(np.exp(1j * (thetas - expected))))) < 1e-12
+
+
+def _tail(change):
+    """A mutation of the modified chain's synthetic tail alone."""
+
+    def mutate(params, m, tau):
+        params[m:] = change(params[m:], tau)
+        return params
+
+    return mutate
+
+
+def _head(j):
+    """A mutation that moves the head parameter delta_{j+1} by 1e-6."""
+
+    def mutate(params, m, tau):
+        params[j % m] += 1e-6
+        return params
+
+    return mutate
+
+
+class TestRuleCertificates:
+    """``build_rule`` certifies each link once: the chain's tail against
+    P (the round trip of ``_modified_chain``), its head against the
+    moments and the omega pair against the rule (``quadrature.weights``).
+    A wrong chain or a wrong omega, injected by monkeypatch, is refused."""
+
+    ZEROS = [0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.6j]  # complex, so conj(kappa) != kappa
+    TAU = cmath.exp(1.2j)
+
+    def spec_and_chain(self, measure, ell, n=12):
+        spec = QpopucSpec(n, ell, from_zeros(self.ZEROS[:ell]), self.TAU)
+        return spec, *chain(measure, n, ell)
+
+    def mutate_chain(self, monkeypatch, spec, mutate):
+        """Every chain of n - 1 parameters, the modified chain, is built
+        with ``mutate`` applied: the tail it holds is the mutated one."""
+        from_params = SchurSequence.from_params
+        m = spec.n - spec.ell - 1
+
+        def mutated(params, e0=1.0):
+            params = np.array(params, dtype=complex)
+            if len(params) == spec.n - 1:
+                params = mutate(params, m, spec.tau)
+            return from_params(params, e0)
+
+        monkeypatch.setattr(SchurSequence, "from_params", staticmethod(mutated))
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_unmutated_rule_builds(self, rogers_half, ell):
+        spec, mu, deltas = self.spec_and_chain(rogers_half, ell)
+        rule = build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+        assert rule.omega is not None and verify_exactness(rule, mu)["passes"]
+
+    @pytest.mark.parametrize(
+        "ell, mutate",
+        # a permutation of one kappa is the identity, so it starts at ell = 2
+        [(ell, _tail(lambda t, tau: np.roll(t, 1))) for ell in (2, 3)]
+        # tau kappa for tau conj(kappa): the conjugate dropped
+        + [(ell, _tail(lambda t, tau: tau**2 * np.conj(t))) for ell in (1, 2, 3)]
+        # conj(kappa): the tail built without tau
+        + [(ell, _tail(lambda t, tau: t / tau)) for ell in (1, 2, 3)],
+        ids=["permuted-2", "permuted-3", "conj-1", "conj-2", "conj-3",
+             "no-tau-1", "no-tau-2", "no-tau-3"],
+    )
+    def test_wrong_tail_refused(self, rogers_half, monkeypatch, ell, mutate):
+        spec, mu, deltas = self.spec_and_chain(rogers_half, ell)
+        self.mutate_chain(monkeypatch, spec, mutate)
+        with pytest.raises(InternalConsistencyError, match="tail misses P"):
+            build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("j", [0, -1])  # delta_1 and delta_m
+    def test_moved_head_refused(self, rogers_half, monkeypatch, ell, j):
+        spec, mu, deltas = self.spec_and_chain(rogers_half, ell)
+        self.mutate_chain(monkeypatch, spec, _head(j))
+        with pytest.raises(NodesNotQuadratureError, match="moment-matching"):
+            build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_rotated_omega_refused(self, rogers_half, monkeypatch, ell):
+        # the rule misses z**(m+1) by |e| = 0.04 to 0.14 here, and a rotation
+        # of omega by 1e-3 misses the pair by about |e| 1e-3, far above the
+        # 1e-9 gate
+        spec, mu, deltas = self.spec_and_chain(rogers_half, ell)
+        params = orthogonality_params(spec, deltas)
+
+        def rotated(spec, deltas):
+            return dataclasses.replace(params, omega=params.omega * cmath.exp(1e-3j))
+
+        monkeypatch.setattr(quadrature, "orthogonality_params", rotated)
+        with pytest.raises(NodesNotQuadratureError, match="omega-pair"):
+            build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_collapsed_order_skips_the_pair(self, lebesgue, ell):
+        # Lebesgue has delta = 0, so sigma = conj(P(0)), and a zero of P at
+        # 0 collapses the order: there is no omega, and no row m + 1 is read
+        n = 7
+        spec = QpopucSpec(n, ell, from_zeros([0.0, 0.4 - 0.3j][:ell]), self.TAU)
+        mu, deltas = chain(lebesgue, n, ell)
+        rule = build_rule(lebesgue, spec, mu=mu, deltas=deltas)
+        assert rule.omega is None and verify_exactness(rule, mu)["passes"]
+        m = rule.m
+        short = MomentSequence(mu.mu[: m + 1])
+        assert np.array_equal(weights(rule.nodes, short, m, None), rule.weights)
+        with pytest.raises(InvalidParameterError, match=f"order {m + 1}"):
+            weights(rule.nodes, short, m, 1.0 + 0j)

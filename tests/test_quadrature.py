@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from circlequad import (
     verify_exactness,
     zeros_on_circle,
 )
-from circlequad import quadrature
+import circlequad
+from circlequad import qpopuc, quadrature
 from circlequad.errors import (
     CircleQuadError,
     InvalidParameterError,
@@ -45,7 +48,15 @@ from circlequad.quadrature import (
 )
 from circlequad.opuc import TWO_PI, UnitPoints, wrap_theta
 
-from circlequad_helpers import chain, direct_christoffel, lstsq_weights, random_tau, unit
+from circlequad_helpers import (
+    assembled_zeros,
+    chain,
+    direct_christoffel,
+    lstsq_weights,
+    perfbench_workloads,
+    random_tau,
+    unit,
+)
 
 
 def lebesgue_rule(n=4, tau=1.0 + 0j):
@@ -223,6 +234,72 @@ class TestBuildRule:
         assert built > 0
 
 
+def _count_assembles(monkeypatch) -> list:
+    """Count the calls of ``qpopuc.assemble`` through every binding of the
+    name in the package, the modules that import it included."""
+    original, calls = qpopuc.assemble, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "circlequad" and getattr(module, "assemble", None) is original:
+            monkeypatch.setattr(module, "assemble", counted)
+    return calls
+
+
+class TestRulePathCertificates:
+    """The rule path assembles no Q. Its nodes and weights still pass the
+    certificates of the assembled Q that it made before (the 32-point
+    spot check and the nodal residual, ``assembled_zeros``), bitwise."""
+
+    def test_rules_assemble_q_once_per_radau(self, rogers_half, monkeypatch):
+        n = 64
+        mu, deltas = chain(rogers_half, n, 0)
+        calls = _count_assembles(monkeypatch)
+        modified_schur(QpopucSpec(n, 0, ONE, cmath.exp(0.9j)), deltas)
+        assert len(calls) == 1  # the counter sees qpopuc's own calls
+        calls.clear()
+        build_rule(rogers_half, QpopucSpec(n, 0, ONE, cmath.exp(0.9j)), mu=mu, deltas=deltas)
+        assert len(calls) == 0
+        # radau's one assembly is the prescribed-node residual of its answer
+        spec = radau(deltas, n, unit(1.3)).spec
+        build_rule(rogers_half, spec, mu=mu, deltas=deltas)
+        assert len(calls) == 1
+
+    def check(self, rule, spec, deltas):
+        nodes, ratio = assembled_zeros(spec, deltas)
+        assert ratio <= 1.0
+        assert np.array_equal(nodes.theta, rule.nodes.theta)
+        assert np.array_equal(nodes.weights, rule.weights)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rules_inputs(self, seed):
+        work = perfbench_workloads()
+        for inp in itertools.islice(work.rules_inputs(seed), 8):
+            rule, report, deltas = work.rules_run(circlequad, inp, n=64)
+            assert report["passes"]
+            self.check(rule, QpopucSpec(64, 0, ONE, rule.tau), deltas)
+
+    def test_scan_certificates(self, monkeypatch):
+        work = perfbench_workloads()
+        built = []
+
+        def recording(measure, spec, mu=None, deltas=None):
+            rule = build_rule(measure, spec, mu=mu, deltas=deltas)
+            built.append((rule, spec, deltas))
+            return rule
+
+        monkeypatch.setattr(quadrature, "build_rule", recording)
+        for seed in range(10):
+            scan = work.scan_run(circlequad, next(work.scan_inputs(seed)))
+            assert len(scan.arcs) == 3
+        assert len(built) == 30
+        for rule, spec, deltas in built:
+            self.check(rule, spec, deltas)
+
+
 def _closed_form_rule(q: float, n: int):
     """The free-tau rule (ell = 0) on the closed-form Rogers-Szego chain
     delta_k = (-1)**k q**(k/2), and the measure's moments q**(k**2/2)."""
@@ -257,13 +334,13 @@ class TestPositivityGate:
             return UnitPoints(nodes.theta, lam)
 
         with pytest.raises(PositivityViolationError) as refusal:
-            weights(underflowed(rule.nodes), mu, rule.m)
+            weights(underflowed(rule.nodes), mu, rule.m, rule.omega)
         assert set(refusal.value.diagnostics) == {"weights", "nodes_theta"}
         # the moment residual is checked first: against another measure's
         # moments the same weights are refused as not a quadrature
         other = moments(MeasureSpec("rogers_szego", q=0.9), 64)
         with pytest.raises(NodesNotQuadratureError):
-            weights(underflowed(rule.nodes), other, rule.m)
+            weights(underflowed(rule.nodes), other, rule.m, rule.omega)
         # build_rule adds tau, so the CLI's payload keeps its three keys
         def solve(spec, deltas):
             return underflowed(zeros_on_circle(spec, deltas))
