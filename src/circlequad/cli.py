@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CircleQuadError, InvalidParameterError
+from .errors import CircleQuadError, FileFormatError, InvalidParameterError
 from .measures import moment_chain, moments, parse_measure_flag
 from .opuc import UnitPoint
 from .prescribe import prescribe_2l, prescribe_2lp1, tau_for_omega
@@ -207,8 +207,11 @@ def cmd_scan_tau(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.rule) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.rule) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise FileFormatError(f"cannot read rule file {args.rule}: {exc}") from exc
     measure = parse_measure_flag(args.measure)
     rule = rule_from_dict(data, measure)
     mu = moments(measure, max(2 * rule.m + 2, len(rule.nodes)))

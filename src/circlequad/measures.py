@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,21 @@ def moment_chain(spec: MeasureSpec, n: int, ell: int) -> tuple[MomentSequence, S
     return mu, schur_from_moments(mu, n - ell)
 
 
+def json_numbers(item, count: int, what: str) -> list:
+    """``count`` finite numbers that a JSON file holds as a list, as
+    floats. ``FileFormatError``, naming ``what``, refuses anything else:
+    JSON true and false load as bool, a subclass of int, NaN and Infinity
+    as floats, and an integer can exceed every float."""
+    if not isinstance(item, list) or len(item) != count or any(
+        isinstance(x, bool) or not isinstance(x, (int, float)) for x in item
+    ):
+        raise FileFormatError(f"{what} is not a list of {count} numbers")
+    # False for NaN; an int compares exactly, where float() would overflow
+    if not all(abs(x) <= sys.float_info.max for x in item):
+        raise FileFormatError(f"{what} holds a non-finite number")
+    return [float(x) for x in item]
+
+
 def load_moments(path, max_order: int | None = None) -> MomentSequence:
     """Read a JSON array of [re, im] pairs; index k holds mu_k."""
     try:
@@ -136,18 +152,7 @@ def load_moments(path, max_order: int | None = None) -> MomentSequence:
         raise FileFormatError(f"cannot read moment file {path}: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise FileFormatError("moment file must be a non-empty JSON array")
-    mu = np.empty(len(data), dtype=complex)
-    for k, item in enumerate(data):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            # JSON true and false load as bool, a subclass of int
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-        ):
-            raise FileFormatError(f"entry {k} is not a [re, im] pair")
-        mu[k] = complex(item[0], item[1])
-    if not np.all(np.isfinite(mu)):
-        raise FileFormatError("moment file holds a non-finite entry")
+    mu = np.array([complex(*json_numbers(item, 2, f"entry {k}")) for k, item in enumerate(data)])
     if mu[0].imag != 0 or mu[0].real <= 0:
         raise FileFormatError("mu_0 must be real and positive")
     if max_order is not None:

@@ -37,11 +37,9 @@ class ComplexPoly:
         return abs(self.coeffs[-1] - 1.0) <= tol
 
     def __call__(self, z):
-        """Horner evaluation; ``z`` may be a scalar or an ndarray."""
+        """Values at ``z``, a scalar or an ndarray, by ``horner``."""
         z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for c in self.coeffs[-2::-1]:
-            out = out * z + c
+        out = horner(self.coeffs[None], z).reshape(z.shape)
         return out[()] if out.ndim == 0 else out
 
     def reciprocal(self, n: int) -> "ComplexPoly":
@@ -100,7 +98,9 @@ def horner(coeffs, z):
     every row; returns (batch, points)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    out = np.broadcast_to(coeffs[:, -1:], np.broadcast_shapes((len(coeffs), 1), z.shape))
+    # a fresh array, so that a constant's values are writable too
+    out = np.empty(np.broadcast(coeffs[:, -1:], z).shape, dtype=complex)
+    out[...] = coeffs[:, -1:]
     for j in range(coeffs.shape[1] - 2, -1, -1):
         out = out * z + coeffs[:, j : j + 1]
     return out

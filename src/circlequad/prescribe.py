@@ -9,12 +9,13 @@ every node count and every ell >= 0: the coupled ``tau_pencil`` of
 ``prescribe_2lp1`` (2*ell + 1 nodes) builds it on 2*ell of them and
 reads it at the tau the remaining node fixes. Both answer the same way:
 the coupling check, the Schur-Cohn verdict on P, then the
-prescribed-node residual on an admissible P. One node (Radau), two
-nodes (Lobatto) and three nodes are their ell = 0 and ell = 1 members,
-read by ``radau``, ``lobatto2`` and ``three_nodes``, and a rule with
-both support-arc endpoints prescribed is the ell = 1 member too, read
-by ``classical_arc``. Besides these: recovering tau from a target
-exactness parameter omega.
+prescribed-node residual on an admissible P, read off the pencil's
+nodal polynomial Q = tau U + V (``AffineQ``), as the tau scan reads
+it. One node (Radau), two nodes (Lobatto) and three nodes are their
+ell = 0 and ell = 1 members, read by ``radau``, ``lobatto2`` and
+``three_nodes``, and a rule with both support-arc endpoints prescribed
+is the ell = 1 member too, read by ``classical_arc``. Besides these:
+recovering tau from a target exactness parameter omega.
 
 Throughout, f_i = conj(F_{n-ell}(alpha_i)) where F_k is the Blaschke
 quotient z rho_{k-1} / rho*_{k-1}.
@@ -23,6 +24,7 @@ quotient z rho_{k-1} / rho*_{k-1}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -48,8 +50,8 @@ from .opuc import (
     schur_cohn_rows,
     wrap_theta,
 )
-from .poly import ComplexPoly
-from .qpopuc import QpopucSpec, assemble, order_collapsed, residual_rows
+from .poly import ComplexPoly, horner
+from .qpopuc import QpopucSpec, order_collapsed
 
 
 @dataclass
@@ -66,17 +68,6 @@ class PrescriptionResult:
 
 def _f_values(deltas: SchurSequence, n: int, ell: int, az: np.ndarray) -> np.ndarray:
     return np.conj(blaschke_values(deltas.params(n - ell - 1), az))
-
-
-def _check_residual(spec: QpopucSpec, deltas: SchurSequence, alphas) -> float:
-    q = assemble(spec, deltas)
-    z = np.array([a.z for a in alphas], dtype=complex)
-    ok, resid, limit = residual_rows(q.coeffs[None], z, TOL.node_residual)
-    if not ok[0]:
-        raise InternalConsistencyError(
-            f"prescribed-node residual {resid[0]:.3e} exceeds {limit[0]:.3e}"
-        )
-    return float(resid[0])
 
 
 def _schur_admissible(poly: ComplexPoly, diagnostics: dict) -> bool:
@@ -125,7 +116,7 @@ def lobatto2(
     """
     alphas = [alpha1, alpha2]
     pencil = tau_pencil(deltas, n, 1, alphas)
-    res = _pencil_answer(pencil, deltas, n, alphas, tau)
+    res = _pencil_answer(AffineQ(pencil, deltas, n, pencil.nodes), tau)
     res.diagnostics["degenerate_case"] = pencil.degenerate
     for start, end in tau_arcs(pencil).green:  # one arc, none when degenerate
         res.diagnostics["tau_arc"] = ArcSpec(
@@ -284,7 +275,7 @@ class TauPencil:
         A#(beta)). The two brackets have equal modulus, so tau is
         unimodular by construction; when both vanish, beta fixes no tau.
         """
-        a, b = (complex(np.polyval(x[::-1], beta)) for x in self.affine)
+        a, b = (complex(x) for x in horner(np.stack(self.affine), [beta])[:, 0])
         w = complex(beta**self.ell * f_beta)
         num, den = -(b + w * a.conjugate()), a + w * b.conjugate()
         if den == 0:
@@ -317,6 +308,44 @@ def _factor(az: np.ndarray, f: np.ndarray) -> TauPencil:
     # columns: the parts of the solution scaling with tau and free of it
     x = _solve(coupled_m, -np.column_stack([f, d]))
     return TauPencil(ell, az, f, x[:ell, 0], x[:ell, 1], x[ell:, 0], x[ell:, 1], cond)
+
+
+@dataclass(frozen=True, eq=False)
+class AffineQ:
+    """A pencil's nodal polynomial Q, affine in tau, and the one
+    prescribed-node residual. With P = tau A + B and R_X = z X rho_{n-ell-1},
+    Q = R + tau R* is tau U + V, where U = R_A + R_B* and V = R_B + R_A*,
+    so Q(alpha_i) = tau U(alpha_i) + V(alpha_i). U and V, and their values
+    at the nodes, are built on first use: by a prescription only for an
+    admissible P with nodes, by a scan once for its grid and arcs."""
+
+    pencil: TauPencil
+    deltas: SchurSequence
+    n: int
+    nodes: np.ndarray  # every prescribed point, 2*ell or 2*ell + 1 of them
+
+    @functools.cached_property
+    def uv(self) -> np.ndarray:
+        """U and V, stacked (2, n + 1), low-to-high."""
+        rho = self.deltas.rho_coeffs(self.n - self.pencil.ell - 1)
+        r_a, r_b = (np.convolve(np.append(0.0, x), rho) for x in self.pencil.affine)
+        return np.stack([r_a + np.conj(r_b[::-1]), r_b + np.conj(r_a[::-1])])
+
+    @functools.cached_property
+    def uv_at(self) -> np.ndarray:
+        return horner(self.uv, self.nodes)
+
+    def coeffs(self, tau) -> np.ndarray:
+        """Q's coefficients, one row per tau, low-to-high."""
+        return np.asarray(tau)[:, None] * self.uv[0] + self.uv[1]
+
+    def residual(self, tau):
+        """Per tau: (ok, max_i |Q(alpha_i)|, limit), ok when the residual
+        is within TOL.node_residual times Q's largest coefficient."""
+        u_at, v_at = self.uv_at
+        resid = np.abs(np.asarray(tau)[:, None] * u_at + v_at).max(axis=1, initial=0.0)
+        limit = TOL.node_residual * np.abs(self.coeffs(tau)).max(axis=1)
+        return resid <= limit, resid, limit
 
 
 class TauArcs(NamedTuple):
@@ -368,9 +397,9 @@ def tau_arcs(pencil: TauPencil) -> TauArcs:
         e = np.exp(1j * np.outer(theta, k))
         g, slope = (e @ h).real, (e @ (1j * k * h)).real
         theta = theta - np.divide(g, slope, out=np.zeros_like(g), where=slope != 0.0)
-    z = np.exp(1j * theta)
+    b_z, a_z = horner(np.stack([b, a]), np.exp(1j * theta))
     with np.errstate(divide="ignore", invalid="ignore"):
-        tau = -np.polyval(b[::-1], z) / np.polyval(a[::-1], z)
+        tau = -b_z / a_z
     cuts = np.unique(wrap_theta(np.angle(tau[np.isfinite(tau)])))
     ends = np.append(cuts, cuts[0] + TWO_PI) if len(cuts) else np.array([0.0, TWO_PI])
     _, stable, band = schur_cohn_rows(pencil.rows(np.exp(0.5j * (ends[:-1] + ends[1:])))[0])
@@ -408,26 +437,33 @@ def prescribe_2l(
     admissible at every tau, with nothing to check. ``lobatto2`` reads
     the two-node case.
     """
-    return _pencil_answer(tau_pencil(deltas, n, ell, alphas), deltas, n, alphas, tau)
+    pencil = tau_pencil(deltas, n, ell, alphas)
+    return _pencil_answer(AffineQ(pencil, deltas, n, pencil.nodes), tau)
 
 
-def _pencil_answer(pencil: TauPencil, deltas, n: int, alphas, tau) -> PrescriptionResult:
+def _pencil_answer(q: AffineQ, tau) -> PrescriptionResult:
     """The answer of a factored pencil at tau, the same for every node
     count and every ell: the pencil's refusals and the coupling check,
     the Schur-Cohn verdict on P, then, on an admissible P with nodes to
-    check, the prescribed-node residual at every alpha. An unstable P is
-    an inadmissible answer; its Q need not vanish at the nodes to working
-    precision, since the solve behind it may be ill-conditioned. A P of
-    degree ell >= 1 is recorded by eta = -P(0), its zero at ell = 1, and
-    a checked residual under ``residual``."""
+    check, the prescribed-node residual at every alpha (``AffineQ``). An
+    unstable P is an inadmissible answer; its Q need not vanish at the
+    nodes to working precision, since the solve behind it may be
+    ill-conditioned. A P of degree ell >= 1 is recorded by eta = -P(0),
+    its zero at ell = 1, and a checked residual under ``residual``."""
+    pencil = q.pencil
     pencil.require_solvable()
-    spec = QpopucSpec(n, pencil.ell, ComplexPoly(_pencil_row(pencil, tau)), tau)
+    spec = QpopucSpec(q.n, pencil.ell, ComplexPoly(_pencil_row(pencil, tau)), tau)
     diagnostics = {"f_values": list(pencil.f), "condition": pencil.cond}
     if spec.ell:  # P = 1 has no zero
         diagnostics["eta"] = complex(-spec.P.coeffs[0])
     admissible = _schur_admissible(spec.P, diagnostics)
-    if admissible and len(alphas):
-        diagnostics["residual"] = _check_residual(spec, deltas, alphas)
+    if admissible and len(q.nodes):
+        ok, resid, limit = q.residual([tau])
+        if not ok[0]:
+            raise InternalConsistencyError(
+                f"prescribed-node residual {resid[0]:.3e} exceeds {limit[0]:.3e}"
+            )
+        diagnostics["residual"] = float(resid[0])
     return PrescriptionResult(spec, admissible, diagnostics)
 
 
@@ -454,7 +490,7 @@ def prescribe_2lp1(
         beta = int(np.argmax(np.abs(np.roll(fa, -1) - np.roll(fa, -2))))
     rest = np.arange(2 * ell + 1) != beta
     pencil = _factor(az[rest], f[rest])
-    res = _pencil_answer(pencil, deltas, n, alphas, pencil.fixed_tau(az[beta], f[beta]))
+    res = _pencil_answer(AffineQ(pencil, deltas, n, az), pencil.fixed_tau(az[beta], f[beta]))
     res.diagnostics.update(f_values=list(f), tau=res.spec.tau)
     return res
 

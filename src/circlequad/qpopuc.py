@@ -29,7 +29,7 @@ from .errors import (
     NotRepresentableError,
 )
 from .opuc import SchurSequence, UnitPoints, blaschke_solve, schur_cohn
-from .poly import ComplexPoly, horner
+from .poly import ComplexPoly
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class OrthogonalityParams:
     tau_tilde: complex | None = None
     omega: complex | None = None
     q_poly: ComplexPoly | None = None
-
-
-def residual_rows(q, z, tol_rel):
-    """Per row of Q coefficients: (ok, max |Q(z)|, limit), with ok when the
-    residual stays within tol_rel times the largest coefficient."""
-    resid = np.max(np.abs(horner(q, z)), axis=1, initial=0.0)
-    limit = tol_rel * np.max(np.abs(q), axis=1)
-    return resid <= limit, resid, limit
 
 
 @functools.cache

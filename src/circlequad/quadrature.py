@@ -10,7 +10,8 @@ is never assembled: the chain's synthetic tail against P (its round trip
 in ``qpopuc._modified_chain``), the nodes against the chain
 (``blaschke_solve``), and the rule against the moments over |k| <= m and
 its omega pair (``weights``); that the prescribed nodes are zeros of Q is
-the prescription's own check.
+the prescription's own check, on the pencil's ``AffineQ``, which the tau
+scan's labels and arc certificates read too.
 """
 
 from __future__ import annotations
@@ -29,12 +30,15 @@ from .config import TOL
 from .errors import (
     CircleQuadError,
     ConditionViolationError,
+    DomainError,
+    FileFormatError,
+    InternalConsistencyError,
     InvalidParameterError,
     NodesNotQuadratureError,
     NoSolutionError,
     PositivityViolationError,
 )
-from .measures import MeasureSpec, moment_chain
+from .measures import MeasureSpec, json_numbers, moment_chain
 from .opuc import (
     TWO_PI,
     MomentSequence,
@@ -45,8 +49,7 @@ from .opuc import (
     schur_cohn_rows,
     wrap_theta,
 )
-from .poly import horner
-from .prescribe import _pencil_answer, tau_arcs, tau_pencil
+from .prescribe import AffineQ, _pencil_answer, tau_arcs, tau_pencil
 from .qpopuc import QpopucSpec, orthogonality_params, zeros_on_circle
 
 GREEN = "positive"
@@ -151,6 +154,19 @@ def _power_table(z, order: int) -> np.ndarray:
     return table
 
 
+def _exactness(z, lam, mu: MomentSequence, order: int, m: int, omega):
+    """A rule's residuals against the moments: |sum_s lam_s z_s**k - mu_k|
+    for k = 0..order, and that of the omega pair z**(m+1) -
+    omega z**-(m+1), None when ``omega`` is None. For real weights the
+    sums over z**-k are the conjugates, so these cover every |k| <= order."""
+    sums = _power_table(z, order) @ lam
+    resid = np.abs(sums - mu.mu[: order + 1])
+    if omega is None:
+        return resid, None
+    s = sums[m + 1]
+    return resid, abs(s - omega * np.conj(s) - (mu.get(m + 1) - omega * mu.get(-(m + 1))))
+
+
 def weights(nodes: UnitPoints, mu: MomentSequence, m: int, omega: complex | None) -> np.ndarray:
     """The weights step of ``build_rule``, and the one gate on a rule's
     weights: the Christoffel numbers that ``blaschke_solve`` left on
@@ -175,22 +191,19 @@ def weights(nodes: UnitPoints, mu: MomentSequence, m: int, omega: complex | None
     lam = nodes.weights
     mu0 = float(mu.get(0).real)
     tol = TOL.weight_residual * mu0
-    # for real weights the sums over z**-k are the conjugates
-    sums = _power_table(nodes.z, top) @ lam
-    resid = np.max(np.abs(sums[: m + 1] - mu.mu[: m + 1]))
-    if not resid <= tol:
+    resid, pair = _exactness(nodes.z, lam, mu, top, m, omega)
+    worst = np.max(resid[: m + 1])
+    if not worst <= tol:
         raise NodesNotQuadratureError(
-            f"moment-matching residual {resid:.3e} exceeds "
+            f"moment-matching residual {worst:.3e} exceeds "
             f"{tol:.1e}; the nodes are not the zeros of a "
             "quasi-paraorthogonal polynomial for this measure"
         )
-    if omega is not None:
-        pair = sums[top] - omega * np.conj(sums[top]) - (mu.get(top) - omega * mu.get(-top))
-        if not abs(pair) <= tol:
-            raise NodesNotQuadratureError(
-                f"omega-pair residual {abs(pair):.3e} exceeds {tol:.1e}; the rule "
-                f"is not exact on z**{top} - omega z**-{top}"
-            )
+    if pair is not None and not pair <= tol:
+        raise NodesNotQuadratureError(
+            f"omega-pair residual {pair:.3e} exceeds {tol:.1e}; the rule "
+            f"is not exact on z**{top} - omega z**-{top}"
+        )
     if not (np.all(lam > 0.0) and np.all(np.isfinite(lam))):
         raise PositivityViolationError(
             f"minimum weight {np.min(lam):.3e} is not positive and finite",
@@ -250,23 +263,14 @@ def verify_exactness(rule: QuadRule, mu: MomentSequence) -> dict:
     m = rule.m
     if mu.order < m + 1:
         raise InvalidParameterError(f"need moments to order {m + 1}, have {mu.order}")
-    z = points_z(rule.nodes)
-    lam = rule.weights
-    mu0 = float(mu.get(0).real)
-    tol = TOL.weight_residual * mu0
-    # sums[k] = sum of lam * z**k for k = 0..mu.order; for real weights
-    # the sum over z**-k is its conjugate
-    sums = _power_table(z, mu.order) @ lam
-    resid = np.abs(sums - mu.mu)
+    tol = TOL.weight_residual * float(mu.get(0).real)
+    resid, pair = _exactness(points_z(rule.nodes), rule.weights, mu, mu.order, m, rule.omega)
     residuals = {k: float(r) for k, r in enumerate(resid[: m + 1])}
     ok = bool(np.all(resid[: m + 1] <= tol))
     report = {"residuals": residuals, "tolerance": tol}
-    if rule.omega is not None:
-        pair = sums[m + 1] - rule.omega * np.conj(sums[m + 1])
-        target = mu.get(m + 1) - rule.omega * mu.get(-(m + 1))
-        r_omega = float(abs(pair - target))
-        residuals["omega_pair"] = r_omega
-        ok = ok and r_omega <= tol
+    if pair is not None:
+        residuals["omega_pair"] = float(pair)
+        ok = ok and pair <= tol
     bare = float(resid[m + 1])
     report["bare_next_power"] = bare
     report["sharp"] = bare > tol
@@ -303,14 +307,10 @@ def _root_codes(q) -> np.ndarray:
 
 
 class _Scan:
-    """The tau-free part of one scan: moments, chain, pencil and nodes,
-    and Q as an affine function of tau. Every ell >= 0 builds its
+    """The tau-free part of one scan: moments, chain, pencil, and the
+    pencil's nodal polynomial Q = tau U + V (``AffineQ``), which the grid
+    labels and every arc certificate read. Every ell >= 0 builds its
     ``tau_pencil``; at ell = 0 it is the empty pencil, P = 1 at every tau.
-
-    With P = tau A + B and R_X = z X rho_{n-ell-1}, Q = R + tau R* is
-    Q = tau U + V, where U = R_A + R_B* and V = R_B + R_A*. So Q is also
-    affine in tau at each prescribed node, Q(alpha_i) = tau U(alpha_i) +
-    V(alpha_i), and U and V are evaluated there once (``u_at``, ``v_at``).
 
     Malformed input (node count, n, coinciding nodes) raises; only the
     tau-free refusals of ``TauPencil.require_solvable`` make every point
@@ -318,17 +318,10 @@ class _Scan:
     """
 
     def __init__(self, measure, n: int, ell: int, alphas):
-        self.measure, self.n, self.ell, self.alphas = measure, n, ell, alphas
+        self.measure = measure
         self.mu, self.deltas = moment_chain(measure, n, ell)
-        self.rho = self.deltas.rho_coeffs(n - ell - 1)
-        self.nodes = np.array([a.z for a in alphas], dtype=complex)
         self.pencil = tau_pencil(self.deltas, n, ell, alphas)
-        r_a, r_b = (np.convolve(np.append(0.0, x), self.rho) for x in self.pencil.affine)
-        self.u = r_a + np.conj(r_b[::-1])
-        self.v = r_b + np.conj(r_a[::-1])
-        # U(alpha_i) and V(alpha_i): a grid row's node residual is then
-        # max_i |tau U(alpha_i) + V(alpha_i)|, with no Horner pass per row
-        self.u_at, self.v_at = horner(np.stack([self.u, self.v]), self.nodes)
+        self.q = AffineQ(self.pencil, self.deltas, n, self.pencil.nodes)
         self.refused = False  # a tau-free refusal: every point is boundary
         try:
             self.pencil.require_solvable()
@@ -342,11 +335,11 @@ class _Scan:
         prescribed-node residual on a stable P), then green for a stable
         P, and the zeros of Q alone (``_root_codes``) for the rest.
 
-        The node residual of a row is max_i |tau U(alpha_i) + V(alpha_i)|,
-        held to ``TOL.node_residual`` times max_k |q_k|, the gate of
-        ``residual_rows``. Q = tau U + V is formed only for the rows that
-        a check reads: its coefficients for that gate's right side on a
-        stable P, and for ``_root_codes`` on the rest."""
+        The node residual is ``AffineQ.residual``, the one that
+        ``prescribe_2l`` checks, here for every row with a stable P at
+        once. Q = tau U + V is formed only for the rows that a check
+        reads: for that gate on a stable P, and for ``_root_codes`` on
+        the rest."""
         tau = np.exp(1j * np.asarray(thetas, dtype=float))
         codes = np.full(len(tau), _BOUNDARY, dtype=np.uint8)
         if self.refused:
@@ -354,26 +347,24 @@ class _Scan:
         p, ok = self.pencil.rows(tau)
         _, stable, band = schur_cohn_rows(p)
         ok &= ~band
-        if len(self.nodes):  # the prescribed-node residual, on a stable P
+        if len(self.q.nodes):  # the prescribed-node residual, on a stable P
             rows = np.flatnonzero(ok & stable)
-            t = tau[rows, None]
-            resid = np.abs(t * self.u_at + self.v_at).max(axis=1)
-            ok[rows] = resid <= TOL.node_residual * np.abs(t * self.u + self.v).max(axis=1)
+            ok[rows] = self.q.residual(tau[rows])[0]
         codes[ok & stable] = _GREEN
         rows = np.flatnonzero(ok & ~stable)
         if len(rows):
-            codes[rows] = _root_codes(tau[rows, None] * self.u + self.v)
+            codes[rows] = _root_codes(self.q.coeffs(tau[rows]))
         return codes
 
     def certificate(self, start: float, end: float) -> ArcCertificate:
         """``prescribe_2l``'s answer, ``build_rule`` and
         ``verify_exactness`` at the midpoint of a green arc. The answer
-        is read off the scan's own pencil, which ``prescribe_2l`` would
-        factor again."""
+        is read off the scan's own pencil and ``AffineQ``, which
+        ``prescribe_2l`` would factor and build again."""
         theta = float(wrap_theta(start + 0.5 * ((end - start) % TWO_PI or TWO_PI)))
         tau = complex(np.exp(1j * theta))
         try:
-            spec = _pencil_answer(self.pencil, self.deltas, self.n, self.alphas, tau).spec
+            spec = _pencil_answer(self.q, tau).spec
             rule = build_rule(self.measure, spec, mu=self.mu, deltas=self.deltas)
         except CircleQuadError as exc:
             return ArcCertificate(start, end, theta, False, math.nan, exc.condition)
@@ -448,21 +439,38 @@ def rule_to_dict(rule: QuadRule, residuals: dict | None = None) -> dict:
     }
 
 
-def rule_from_dict(data: dict, measure: MeasureSpec | None = None) -> QuadRule:
-    nodes = [UnitPoint(d["theta"], complex(d["re"], d["im"])) for d in data["nodes"]]
+def rule_from_dict(data, measure: MeasureSpec | None = None) -> QuadRule:
+    """The rule of a ``rule_to_dict`` mapping, as a rule file holds it.
+    ``FileFormatError`` refuses any other shape: nodes of finite theta, re
+    and im that make a ``UnitPoint``, one finite weight per node, an
+    integer m with 0 <= m < the node count, and tau and omega each null or
+    [re, im]."""
 
-    def from_pair(p):
-        return None if p is None else complex(p[0], p[1])
+    def node(i, d):
+        theta, re, im = json_numbers([d["theta"], d["re"], d["im"]], 3, f"node {i}")
+        return UnitPoint(theta, complex(re, im))
 
+    def pair(key):
+        p = data.get(key)
+        return None if p is None else complex(*json_numbers(p, 2, key))
+
+    try:
+        nodes = [node(i, d) for i, d in enumerate(data["nodes"])]
+        lam = np.array(json_numbers(data["weights"], len(nodes), "weights"))
+        m, omega, tau = data["m"], pair("omega"), pair("tau")
+    except (KeyError, TypeError, DomainError, InternalConsistencyError) as exc:
+        raise FileFormatError(f"not the shape of a rule file: {exc!r}") from exc
+    if isinstance(m, bool) or not isinstance(m, int) or not 0 <= m < len(nodes):
+        raise FileFormatError(f"m = {m!r} is not an integer in [0, {len(nodes)})")
     return QuadRule(
         nodes=nodes,
-        weights=np.array(data["weights"], dtype=float),
-        m=int(data["m"]),
-        omega=from_pair(data.get("omega")),
+        weights=lam,
+        m=m,
+        omega=omega,
         measure=measure,
         n=data.get("n"),
         ell=data.get("ell"),
-        tau=from_pair(data.get("tau")),
+        tau=tau,
     )
 
 

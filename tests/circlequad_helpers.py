@@ -6,7 +6,8 @@ polynomial arithmetic, the allocate-per-step loops of Levinson and the
 Szego recursions, the row-major Schur-Cohn recursion, the orientation
 of circle triples, the endpoint-modified moment chain of the classical
 arc rules, the rule path's node solve with its assembled-Q certificates,
-and the benchmark's seeded request draws as test data.
+the Horner oracle of the prescribed-node residual and a counter of the
+affine Q builds, and the benchmark's seeded request draws as test data.
 
 A module of its own, not ``conftest``: the name ``conftest`` also belongs
 to ``perfbench/tests``, and whichever directory is collected first would
@@ -14,6 +15,7 @@ take it.
 """
 
 import cmath
+import functools
 import importlib.util
 import math
 import pathlib
@@ -35,6 +37,7 @@ from circlequad import (
     prescribe_2l,
     schur_from_moments,
 )
+from circlequad import prescribe
 from circlequad.config import TOL
 from circlequad.errors import (
     CircleQuadError,
@@ -45,8 +48,8 @@ from circlequad.errors import (
 )
 from circlequad.measures import in_open_arc
 from circlequad.opuc import points_z
+from circlequad.poly import horner
 from circlequad.prescribe import _f_values, _vandermonde
-from circlequad.qpopuc import residual_rows
 from circlequad.quadrature import (
     GREEN,
     RED_BOUNDARY,
@@ -214,6 +217,30 @@ def modified_chain_nodes(mu, arc, n: int, tau_hat=None, alpha=None) -> list:
     if alpha is not None:
         tau_hat = -blaschke_eval(hat, n - 2, alpha.z)
     return [arc.a, arc.b, *blaschke_solve(hat, n - 2, -tau_hat)]
+
+
+def residual_rows(q, z, tol_rel):
+    """Per row of Q coefficients: (ok, max |Q(z)|, limit), with ok when the
+    residual stays within tol_rel times the largest coefficient: Horner on
+    the formed Q, the oracle of ``AffineQ.residual``."""
+    resid = np.max(np.abs(horner(q, z)), axis=1, initial=0.0)
+    limit = tol_rel * np.max(np.abs(q), axis=1)
+    return resid <= limit, resid, limit
+
+
+def count_affine_builds(monkeypatch) -> list:
+    """Record every ``AffineQ`` that builds its U and V (``AffineQ.uv``,
+    the one place where a prescription or a scan forms Q)."""
+    build, built = prescribe.AffineQ.uv.func, []
+
+    def counted(q):
+        built.append(q)
+        return build(q)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(prescribe.AffineQ, "uv")
+    monkeypatch.setattr(prescribe.AffineQ, "uv", prop)
+    return built
 
 
 def assembled_zeros(spec, deltas):

@@ -30,7 +30,6 @@ from circlequad.config import TOL
 from circlequad.errors import CircleQuadError, PositivityViolationError
 from circlequad.prescribe import tau_arcs
 from circlequad.opuc import TWO_PI, schur_cohn_rows
-from circlequad.qpopuc import residual_rows
 from circlequad.quadrature import (
     _BOUNDARY,
     _GREEN,
@@ -55,6 +54,7 @@ from circlequad_helpers import (
     direct_q_rows,
     elimination_pencil,
     lstsq_weights_rows,
+    residual_rows,
     schur_cohn_rows_loop,
     two_node_tau_arc,
     unit,
@@ -208,9 +208,15 @@ class TestTauPencil:
         assert np.max(np.abs(pencil.f - want)) < 1e-14
 
 
+def scan_rho(scan):
+    """rho_{n-ell-1} of a scan's chain, the factor of both products of Q."""
+    return scan.deltas.rho_coeffs(scan.q.n - scan.pencil.ell - 1)
+
+
 class TestAffineQ:
     """Q = R + tau R* (``assemble``) and the scan's rows Q = tau U + V
-    against the two products of ``direct_q_rows``, term by term."""
+    (``AffineQ.coeffs``) against the two products of ``direct_q_rows``,
+    term by term."""
 
     def test_assemble(self):
         rng = np.random.default_rng(14)
@@ -234,13 +240,13 @@ class TestAffineQ:
             n = int(rng.integers(2 * ell + 3, 13))
             scan = _Scan(measure, n, ell, spread_nodes(rng, 2 * ell))
             tau = np.exp(1j * rng.uniform(0.0, TWO_PI, size=50))
-            want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan.rho)
-            got = tau[:, None] * scan.u + scan.v
+            want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan_rho(scan))
+            got = scan.q.coeffs(tau)
             # both carry the rounding of the products before R_A and R_B
             # cancel: a pencil with large A and B (the arc) moves Q by more
             # than eps max|q| on either path
             a, b = scan.pencil.affine
-            terms = np.max(np.convolve(np.abs(a) + np.abs(b), np.abs(scan.rho)))
+            terms = np.max(np.convolve(np.abs(a) + np.abs(b), np.abs(scan_rho(scan))))
             assert np.max(np.abs(got - want)) <= 1e-14 * max(terms, np.max(np.abs(want)))
 
     def test_degenerate_scan_rows(self):
@@ -249,8 +255,8 @@ class TestAffineQ:
         scan = _Scan(MeasureSpec("lebesgue"), n, 1, [unit(0.3), unit(0.3 + math.pi)])
         assert scan.pencil.degenerate
         tau = np.array([scan.pencil.tau_required])
-        want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan.rho)
-        got = tau[:, None] * scan.u + scan.v
+        want = direct_q_rows(scan.pencil.rows(tau)[0], tau, scan_rho(scan))
+        got = scan.q.coeffs(tau)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -267,9 +273,10 @@ def residual_scans():
 
 
 class TestNodeResidual:
-    """The scan's prescribed-node residual, read off the values of U and V
-    at the nodes, against ``residual_rows``, Horner on the formed Q rows,
-    on the rows that reach the check: a valid, stable P off the band."""
+    """The one prescribed-node residual, ``AffineQ.residual``, read off the
+    values of U and V at the nodes, against ``residual_rows``, Horner on
+    the formed Q rows, on the rows that reach the check: a valid, stable P
+    off the band. The scan's labels read it, as every prescription does."""
 
     @staticmethod
     def checked_rows(scan, thetas):
@@ -277,10 +284,10 @@ class TestNodeResidual:
         p, ok = scan.pencil.rows(tau)
         _, stable, band = schur_cohn_rows_loop(p)
         rows = np.flatnonzero(ok & stable & ~band)
-        q = tau[rows, None] * scan.u + scan.v
+        q = scan.q.coeffs(tau[rows])
         # Q(alpha) = tau U(alpha) + V(alpha) rounds apart from Horner on Q
         # by the rounding of both against the coefficients of U and V
-        spread = 4.0 * np.finfo(float).eps * (np.sum(np.abs(scan.u)) + np.sum(np.abs(scan.v)))
+        spread = 4.0 * np.finfo(float).eps * np.sum(np.abs(scan.q.uv))
         return rows, q, spread
 
     def test_residuals_agree(self):
@@ -288,8 +295,8 @@ class TestNodeResidual:
         checked = 0
         for scan in residual_scans():
             rows, q, spread = self.checked_rows(scan, thetas)
-            ok, horner_resid, _ = residual_rows(q, scan.nodes, TOL.node_residual)
-            affine = np.max(np.abs(np.exp(1j * thetas[rows, None]) * scan.u_at + scan.v_at), axis=1)
+            ok, horner_resid, _ = residual_rows(q, scan.q.nodes, TOL.node_residual)
+            affine = scan.q.residual(np.exp(1j * thetas[rows]))[1]
             assert np.all(np.abs(affine - horner_resid) <= spread)
             assert np.array_equal(scan.codes(thetas)[rows] == _GREEN, ok)
             checked += len(rows)
@@ -306,10 +313,11 @@ class TestNodeResidual:
             rows, q, spread = self.checked_rows(scan, thetas)
             if not len(rows):
                 continue
-            ratio = residual_rows(q, scan.nodes, 1.0)[1] / np.max(np.abs(q), axis=1)
+            ratio = residual_rows(q, scan.q.nodes, 1.0)[1] / np.max(np.abs(q), axis=1)
             gate = float(np.median(ratio))
-            ok, horner_resid, limit = residual_rows(q, scan.nodes, gate)
-            monkeypatch.setattr(quadrature, "TOL", dataclasses.replace(TOL, node_residual=gate))
+            ok, horner_resid, limit = residual_rows(q, scan.q.nodes, gate)
+            # the gate's one reader, ``AffineQ.residual``, reads prescribe's TOL
+            monkeypatch.setattr(prescribe, "TOL", dataclasses.replace(TOL, node_residual=gate))
             green = scan.codes(thetas)[rows] == _GREEN
             monkeypatch.undo()
             moved = green != ok
@@ -388,7 +396,7 @@ class TestBatchedScan:
         rows = ok & stable & ~band
         p, tau = p[rows], tau[rows]
         assert len(tau) > 100
-        for t, coeffs, q in zip(tau, p, direct_q_rows(p, tau, scan.rho)):
+        for t, coeffs, q in zip(tau, p, direct_q_rows(p, tau, scan_rho(scan))):
             spec = QpopucSpec(16, 3, ComplexPoly(coeffs), complex(t))
             theta = zeros_on_circle(spec, scan.deltas).theta
             roots = np.angle(np.roots(q[::-1]))
@@ -713,7 +721,7 @@ def close_circle_pair(q) -> bool:
 
 def scan_moments(scan):
     """mu_{-m}..mu_m and mu_0 of a scan's measure."""
-    m = scan.n - scan.ell - 1
+    m = scan.q.n - scan.pencil.ell - 1
     return scan.mu.array(-m, m), float(scan.mu.get(0).real)
 
 
@@ -723,7 +731,7 @@ def unstable_rows(scan, grid):
     p = scan.pencil.rows(tau)[0]
     _, stable, band = schur_cohn_rows(p)
     rows = ~stable & ~band
-    return direct_q_rows(p[rows], tau[rows], scan.rho)
+    return direct_q_rows(p[rows], tau[rows], scan_rho(scan))
 
 
 class TestCohnLabels:

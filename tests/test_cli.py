@@ -281,6 +281,39 @@ class TestVerifyCommand:
         assert code == 2
         assert not data["report"]["passes"]
 
+    # each damages the file of a good rule; NaN is the token json writes
+    # for a float NaN, which json.load reads back, and 10**400 is an
+    # integer no float holds
+    MALFORMED = {
+        "missing-nodes": lambda d: {k: v for k, v in d.items() if k != "nodes"},
+        "top-level-array": lambda d: [d],
+        "omega-not-a-pair": lambda d: {**d, "omega": 3},
+        "negative-m": lambda d: {**d, "m": -5},
+        "weights-nodes-mismatch": lambda d: {**d, "weights": d["weights"][:-1]},
+        "nan-weight": lambda d: {**d, "weights": [math.nan, *d["weights"][1:]]},
+        "huge-weight": lambda d: {**d, "weights": [10**400, *d["weights"][1:]]},
+        "node-off-its-theta": lambda d: {**d, "nodes": [
+            {**d["nodes"][0], "theta": d["nodes"][0]["theta"] + 0.1}, *d["nodes"][1:]
+        ]},
+        "not-json": lambda d: json.dumps(d)[:-1],
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_rule_file_refused(self, capsys, tmp_path, damage):
+        out = tmp_path / "rule.json"
+        assert run(
+            ["rule", "--measure", "rogers-szego:q=0.5", "--n", "6",
+             "--tau", "pi:0", "--out", str(out)]
+        ) == 0
+        damaged = self.MALFORMED[damage](json.loads(out.read_text()))
+        out.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
+        code, data = run_json(
+            capsys,
+            ["verify", "--rule", str(out), "--measure", "rogers-szego:q=0.5"],
+        )
+        assert code == 1
+        assert data["condition"] == "file-format"
+
 
 class TestTauForOmegaCommand:
     def test_lebesgue_square_roots(self, capsys):

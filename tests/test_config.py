@@ -153,12 +153,31 @@ def test_rule_path_assembles_no_q():
     # one certificate per claim: a rule's nodes are certified on the
     # modified chain, its tail against P and its head against the moments,
     # so Q is assembled only where a check reads it, criterion 7's
-    # ``modified_schur`` and the prescribed-node residual
-    assert _callers("assemble") == {"qpopuc.modified_schur", "prescribe._check_residual"}
+    # ``modified_schur``; the prescribed-node residual reads the pencil's
+    # affine Q (``test_one_node_residual``)
+    assert _callers("assemble") == {"qpopuc.modified_schur"}
     assert _functions_with(
         lambda node: isinstance(node, ast.Name) and node.id == "_spot_points"
     ) == {"qpopuc.modified_schur"}
-    assert _callers("residual_rows") == {"prescribe._check_residual"}
+    assert _functions_with(lambda node: "residual_rows" in ast.unparse(node)) == set()
+
+
+def test_one_node_residual():
+    # one prescribed-node residual, ``AffineQ.residual``, which every
+    # prescription and the scan's labels read: a second reader of its gate
+    # would be a second residual
+    reads = _functions_with(lambda node: ast.unparse(node) == "TOL.node_residual")
+    assert reads == {"prescribe.residual"}
+    assert _callers("residual") == {"prescribe._pencil_answer", "quadrature.codes"}
+
+
+def test_one_polynomial_evaluator():
+    # polynomials are evaluated by ``poly.horner``: np.polyval or a second
+    # Horner loop would be a second evaluator
+    assert _functions_with(lambda node: "polyval" in ast.unparse(node)) == set()
+    assert _callers("horner") == {
+        "poly.__call__", "prescribe.uv_at", "prescribe.fixed_tau", "prescribe.tau_arcs"
+    }
 
 
 def test_one_coefficient_step():

@@ -161,9 +161,11 @@ class TestMomentFiles:
 
     @pytest.mark.parametrize("text", [
         "[[NaN, 0], [0.1, 0]]", "[[1, 0], [0.1, NaN]]", "[[1, 0], [Infinity, 0]]",
+        f"[[1, 0], [{10**400}, 0]]",
     ])
     def test_non_finite_entry_refused(self, tmp_path, text):
-        # Python's json reads NaN and Infinity as floats
+        # Python's json reads NaN and Infinity as floats, and an integer
+        # beyond every float as an int
         path = tmp_path / "mu.json"
         path.write_text(text)
         with pytest.raises(FileFormatError, match="non-finite"):

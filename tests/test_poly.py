@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from circlequad import ComplexPoly, from_zeros
 from circlequad.errors import DegreeError
-from circlequad.poly import ONE
+from circlequad.poly import ONE, horner
 
 coeff = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -29,6 +29,23 @@ def test_horner_matches_numpy_polyval():
     expected = np.polyval(p.coeffs[::-1], z)
     assert np.allclose(p(z), expected, rtol=1e-12, atol=1e-12)
     assert np.isscalar(p(z[0])) or p(z[0]).ndim == 0
+
+
+def test_horner_rounds_as_the_loop_and_polyval():
+    # ComplexPoly and tau_arcs evaluate by ``horner``; on array points it
+    # rounds as the per-coefficient loop and np.polyval that they ran
+    # before, to the bit, and a constant's values are a writable array
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.integers(0, 9))
+        c = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
+        z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=7))
+        loop = np.full(z.shape, c[-1])
+        for x in c[-2::-1]:
+            loop = loop * z + x
+        values = ComplexPoly(c)(z)
+        assert values.tobytes() == loop.tobytes() and values.flags.writeable
+        assert horner(c[None], z)[0].tobytes() == np.polyval(c[::-1], z).tobytes()
 
 
 def test_mul_add_match_numpy():

@@ -39,10 +39,11 @@ from circlequad.errors import (
 )
 from circlequad import prescribe
 from circlequad.poly import ONE
-from circlequad.qpopuc import orthogonality_params, residual_rows
+from circlequad.qpopuc import orthogonality_params
 
 from circlequad_helpers import (
     chain,
+    count_affine_builds,
     elimination_pencil,
     extended_omega,
     extended_omega_pencil,
@@ -52,6 +53,7 @@ from circlequad_helpers import (
     odd_system,
     perfbench_workloads,
     random_tau,
+    residual_rows,
     same_orientation,
     unit,
 )
@@ -497,12 +499,14 @@ class TestEmptyPrescription:
         assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_prescribe_2l_assembles_nothing(self, rogers_half, monkeypatch):
-        # with no nodes there is no nodal residual to check, so no Q
-        calls = []
-        monkeypatch.setattr(prescribe, "assemble", lambda *args: calls.append(args))
+        # with no nodes there is no nodal residual to check, so the
+        # pencil's AffineQ builds no U and V; one node (Radau) builds one
+        built = count_affine_builds(monkeypatch)
         _, deltas = chain(rogers_half, 16, 0)
         assert prescribe_2l(deltas, 16, 0, [], 1j).admissible
-        assert calls == []
+        assert built == []
+        assert prescribe_2lp1(deltas, 16, 0, [unit(1.3)]).admissible
+        assert len(built) == 1
 
     def test_prescribe_2lp1_is_radau(self, rogers_half, rng):
         # one node: P = 1 and tau = -F_n(alpha), by the Blaschke recursion

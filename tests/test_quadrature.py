@@ -51,6 +51,7 @@ from circlequad.opuc import TWO_PI, UnitPoints, wrap_theta
 from circlequad_helpers import (
     assembled_zeros,
     chain,
+    count_affine_builds,
     direct_christoffel,
     lstsq_weights,
     perfbench_workloads,
@@ -250,23 +251,26 @@ def _count_assembles(monkeypatch) -> list:
 
 
 class TestRulePathCertificates:
-    """The rule path assembles no Q. Its nodes and weights still pass the
-    certificates of the assembled Q that it made before (the 32-point
-    spot check and the nodal residual, ``assembled_zeros``), bitwise."""
+    """The rule path assembles no Q and builds no affine Q. Its nodes and
+    weights still pass the certificates of the assembled Q that it made
+    before (the 32-point spot check and the nodal residual,
+    ``assembled_zeros``), bitwise."""
 
     def test_rules_assemble_q_once_per_radau(self, rogers_half, monkeypatch):
         n = 64
         mu, deltas = chain(rogers_half, n, 0)
         calls = _count_assembles(monkeypatch)
+        built = count_affine_builds(monkeypatch)
         modified_schur(QpopucSpec(n, 0, ONE, cmath.exp(0.9j)), deltas)
         assert len(calls) == 1  # the counter sees qpopuc's own calls
         calls.clear()
         build_rule(rogers_half, QpopucSpec(n, 0, ONE, cmath.exp(0.9j)), mu=mu, deltas=deltas)
-        assert len(calls) == 0
-        # radau's one assembly is the prescribed-node residual of its answer
+        assert calls == [] and built == []
+        # radau's one Q is the affine Q of its prescribed-node residual,
+        # and nothing is assembled
         spec = radau(deltas, n, unit(1.3)).spec
         build_rule(rogers_half, spec, mu=mu, deltas=deltas)
-        assert len(calls) == 1
+        assert calls == [] and len(built) == 1
 
     def check(self, rule, spec, deltas):
         nodes, ratio = assembled_zeros(spec, deltas)
